@@ -122,8 +122,16 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
+# universes whose words have more than one spelling, and the fold to normal form
+_NORMAL_FORM = {W.BCS: W.normalize_items, W.F2: W.fg_normalize}
+
+
 class Element:
-    """Finitely supported word -> scalar map in a fixed universe."""
+    """Finitely supported word -> scalar map in a fixed universe.
+
+    The constructor folds every key into normal form and adds the
+    coefficients of keys that fold to the same word.
+    """
 
     __slots__ = ("universe", "terms")
 
@@ -131,17 +139,20 @@ class Element:
         if universe not in W.UNIVERSES:
             raise ValueError(f"unknown universe {universe!r}")
         self.universe = universe
-        clean = {}
+        normal = _NORMAL_FORM.get(universe)
+        clean: dict = {}
         if terms:
             for word, coeff in terms.items():
                 coeff = _coerce(coeff)
-                if not coeff.is_zero():
-                    clean[word] = coeff
-        self.terms = clean
+                if normal is not None:
+                    word = normal(word)
+                prev = clean.get(word)
+                clean[word] = coeff if prev is None else prev + coeff
+        self.terms = {w: c for w, c in clean.items() if not c.is_zero()}
 
     @classmethod
     def _raw(cls, universe: str, terms: dict) -> "Element":
-        # internal: terms must already be zero-pruned scalars
+        # internal: keys must already be normal forms, terms zero-pruned scalars
         el = cls.__new__(cls)
         el.universe = universe
         el.terms = terms

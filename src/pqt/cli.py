@@ -264,10 +264,17 @@ def _cmd_moment(args):
 
 def _cmd_gram(args):
     cfg = _state_config(args)
+    limit = _limit(args)
     if args.words:
         words = [parse_word(part, args.universe) for part in args.words.split(";") if part.strip()]
+    elif args.universe == W.BC:
+        # the bc words q^a p^b with a + b <= m
+        count = (args.m + 1) * (args.m + 2) // 2
+        if limit is not None and count > limit:
+            raise LimitExceeded(f"enumeration would produce {count} words (limit {limit})")
+        words = W.bc_elements(args.m)
     else:
-        words = W.enumerate_words(args.m, args.k, args.universe, limit=_limit(args))
+        words = W.enumerate_words(args.m, args.k, args.universe, limit=limit)
     report = gram_psd_check(args.universe, words, cfg, max_blocks=args.max_blocks)
     return report.to_dict(), 0 if report.psd else 1
 
@@ -298,6 +305,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # an expression may open with a negative scalar, as in '-1/2*q'
+        if arg_string[:1] == "-" and arg_string[1:2].isdigit():
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def _extract_config(argv: list) -> tuple:
     """Pull an optional ``--config FILE`` out of argv and load it as JSON."""
@@ -326,14 +339,33 @@ def _extract_config(argv: list) -> tuple:
     return argv, config
 
 
-def _apply_config(subparsers: dict, config: dict) -> None:
-    # config keys mirror long flag names; values must already be final-typed
-    normalized = {key.replace("-", "_"): value for key, value in config.items()}
-    for sub in subparsers.values():
-        for action in sub._actions:
-            if action.dest in normalized:
-                action.default = normalized[action.dest]
-                action.required = False
+def _check_config_value(action, key: str, value) -> None:
+    if isinstance(action, argparse._StoreTrueAction):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif action.type is int:
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise _UsageError(f"config value for {key!r} must be {kind}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise _UsageError(f"config value for {key!r} must be one of {choices}, got {value!r}")
+
+
+def _apply_config(subparsers: dict, argv: list, config: dict) -> None:
+    # config keys mirror the long flag names of the chosen command, whose
+    # name is the first positional token; values must already be final-typed
+    sub = subparsers.get(next((tok for tok in argv if not tok.startswith("-")), None))
+    if sub is None:
+        return  # argparse reports the missing or unknown command
+    normalized = {key.replace("-", "_"): (key, value) for key, value in config.items()}
+    for action in sub._actions:
+        if action.dest in normalized:
+            key, value = normalized[action.dest]
+            _check_config_value(action, key, value)
+            action.default = value
+            action.required = False
 
 
 def _add_universe(sub, default=None, choices=W.UNIVERSES):
@@ -451,7 +483,7 @@ def main(argv=None) -> int:
     try:
         argv, config = _extract_config(sys.argv[1:] if argv is None else argv)
         if config:
-            _apply_config(table, config)
+            _apply_config(table, argv, config)
         args = parser.parse_args(argv)
     except _UsageError as e:
         _emit({"result": "error", "message": str(e)})

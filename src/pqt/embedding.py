@@ -170,28 +170,38 @@ def verify_coordinate_separation(
     *,
     limit: int | None = W.DEFAULT_ENUMERATION_LIMIT,
 ) -> CheckReport:
-    """Coordinate at a length-m target word is nonzero exactly for that word."""
+    """Coordinate at a length-m target word is nonzero exactly for that word.
+
+    One pass over the candidates: the support of y's image must meet the
+    targets in {y} when |y| = m and nowhere otherwise.  A failure reports
+    the violating pair that comes first in (target, candidate) order, and
+    ``pairs_checked`` counts the pairs up to it in that order.
+    """
     start = time.perf_counter()
     emb = Embedding(gamma)
     candidates = W.enumerate_words(m, k, W.SINF, limit=limit)
     targets = [w for w in candidates if len(w) == m]
-    images = [(y, emb.apply(delta(W.SINF, y))) for y in candidates]
+    # free words double as product words, so targets are coordinate keys
+    target_index = {w: t for t, w in enumerate(targets)}
+    first = None  # (target index, candidate index, coefficient) of the first violation
+    for c, y in enumerate(candidates):
+        image = emb.apply(delta(W.SINF, y))
+        bad = [target_index[u] for u in image.terms if u != y and u in target_index]
+        if len(y) == m and y not in image.terms:
+            bad.append(target_index[y])
+        if bad and (first is None or min(bad) < first[0]):
+            t = min(bad)
+            first = (t, c, image.coordinate(targets[t]))
     counterexample = None
-    pairs = 0
-    for w in targets:
-        # free words double as product words, so w itself is the coordinate key
-        for y, image in images:
-            pairs += 1
-            coeff = image.coordinate(w)
-            if (not coeff.is_zero()) != (y == w):
-                counterexample = {
-                    "target": W.render_word(W.SINF, w),
-                    "candidate": W.render_word(W.SINF, y),
-                    "coefficient": str(coeff),
-                }
-                break
-        if counterexample:
-            break
+    pairs = len(targets) * len(candidates)
+    if first is not None:
+        t, c, coeff = first
+        counterexample = {
+            "target": W.render_word(W.SINF, targets[t]),
+            "candidate": W.render_word(W.SINF, candidates[c]),
+            "coefficient": str(coeff),
+        }
+        pairs = t * len(candidates) + c + 1
     elapsed = (time.perf_counter() - start) * 1000.0
     return CheckReport(
         check="coordinate-lemma",

@@ -6,7 +6,7 @@ class UniverseMismatch(ValueError):
 
 
 class LimitExceeded(RuntimeError):
-    """An enumeration, solver or recursion would exceed its configured cap."""
+    """An enumeration, solver or moment would exceed its configured cap."""
 
 
 class ExprSyntaxError(ValueError):

@@ -72,11 +72,12 @@ class ShiftRepresentation:
 
     def item_matrix(self, item) -> np.ndarray:
         if isinstance(item, W.BCElement):
-            out = np.eye(self.cfg.dim, dtype=complex)
-            for _ in range(item.a):
-                out = self._forward @ out
-            for _ in range(item.b):
-                out = out @ self._backward
+            # q^a p^b = forward^a backward^b: e_i -> e_(i-b+a) while neither
+            # shift runs off an edge, which is b <= i < d - a + b (and i < d)
+            d = self.cfg.dim
+            out = np.zeros((d, d), dtype=complex)
+            i = np.arange(item.b, min(d, d - item.a + item.b))
+            out[i - item.b + item.a, i] = 1.0
             return out
         return self.free_matrix(item.index, item.starred)
 

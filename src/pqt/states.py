@@ -2,19 +2,20 @@
 
 The bicyclic component carries the diagonal-density shift state
 mu1(q^a p^b) = [a == b] * 2^-a, whose dyadic weights keep every moment an
-exact rational.  The free *-monoid component carries either a character
-(each generator evaluates to a fixed rational z) or the vacuum.  The free
-product of the two is evaluated by the centering recursion: write a word
-as alternating component blocks, expand each block into its centered part
-plus its mean, and use that fully centered alternating products have
-moment zero.  Summing the resulting telescope gives, for an alternating
-word c_1 ... c_r with component moments mu_i,
+exact rational.  The free *-monoid component carries a character: either
+Character(z), under which each generator evaluates to the rational z, or
+the vacuum, which takes the same values as Character(0).
 
-    mu(c_1...c_r) = sum over proper subsets U of the blocks of
-                    (-1)^(|V|+1) * prod(mu_i for i in V) * mu(word of U)
+A character has a one-dimensional GNS space, so the centered part of any
+free-side block is zero in it.  In the free-product construction every
+free-side block therefore acts as its mean, and the free product state of
+a word w factors in closed form:
 
-with V the removed blocks; the kept blocks are re-merged inside their
-components, so the recursion strictly shrinks the block count.
+    mu(w) = chi(free letters of w, in order) * mu1(product of w's bicyclic blocks)
+
+(Voiculescu, Dykema and Nica, Free Random Variables, CRM Monograph Series
+1, 1992).  ``tests/oracles.py`` keeps the literal two-level centered
+expansion that this closed form is checked against.
 """
 
 from __future__ import annotations
@@ -101,66 +102,19 @@ def bc_moment(x: W.BCElement, state: DyadicShiftState | None = None) -> Gaussian
     return (state or DyadicShiftState()).moment(x)
 
 
-def _split_blocks(w) -> list:
-    """Alternating component blocks: ("bc", BCElement) and ("s", FreeWord)."""
-    blocks: list = []
-    run: list = []
-    for it in w:
-        if isinstance(it, W.BCElement):
-            if run:
-                blocks.append(("s", tuple(run)))
-                run = []
-            blocks.append(("bc", it))
-        else:
-            run.append(it)
-    if run:
-        blocks.append(("s", tuple(run)))
-    return blocks
-
-
-def _merge_blocks(blocks) -> list:
-    """Multiply out same-component adjacencies created by dropping blocks."""
-    stack: list = []
-    for kind, payload in blocks:
-        if stack and stack[-1][0] == kind:
-            _, prev = stack.pop()
-            if kind == "bc":
-                merged = W.bc_mul(prev, payload)
-                if not merged.is_identity():
-                    stack.append(("bc", merged))
-                # an identity block vanishes; later items keep merging
-            else:
-                stack.append(("s", prev + payload))
-        else:
-            stack.append((kind, payload))
-    return stack
-
-
-def _blocks_to_word(blocks) -> tuple:
-    items: list = []
-    for kind, payload in blocks:
-        if kind == "bc":
-            items.append(payload)
-        else:
-            items.extend(payload)
-    return tuple(items)
-
-
 class FreeProductState:
     """Moment functional on the free-product algebra, with memoisation.
 
     The cache maps normal-form words to their moments; inserts are
     idempotent, so concurrent use only has to keep individual reads and
-    writes atomic.  Component states are rational-valued, so the inner
-    recursion runs on plain fractions and only the public surface wraps
-    them into scalars.
+    writes atomic.  ``max_blocks`` caps the alternating block count of a
+    word with two or more blocks.
     """
 
     def __init__(self, cfg: StateConfig | None = None, max_blocks: int = DEFAULT_MAX_BLOCKS):
         self.cfg = cfg if cfg is not None else StateConfig()
         self.max_blocks = max_blocks
         self._cache: dict = {(): ONE}
-        self._frac: dict = {(): _F1}
 
     def moment(self, x: Element) -> GaussianRational:
         if x.universe != W.BCS:
@@ -178,48 +132,23 @@ class FreeProductState:
         return cached
 
     def _word_fraction(self, w) -> Fraction:
-        cached = self._frac.get(w)
-        if cached is None:
-            cached = self._blocks_fraction(_split_blocks(w))
-            self._frac[w] = cached
-        return cached
-
-    def _component_fraction(self, block) -> Fraction:
-        kind, payload = block
-        if kind == "bc":
-            return self.cfg.bc_state.moment_fraction(payload)
-        return self.cfg.s_state.moment_fraction(payload)
-
-    def _blocks_fraction(self, blocks) -> Fraction:
-        r = len(blocks)
-        if r == 0:
-            return _F1
-        if r == 1:
-            return self._component_fraction(blocks[0])
-        if r > self.max_blocks:
-            raise LimitExceeded(f"word has {r} blocks, cap is {self.max_blocks}")
-        comp = [self._component_fraction(b) for b in blocks]
-        total = _F0
-        for mask in range((1 << r) - 1):  # proper subsets of the block set
-            coeff = _F1
-            removed = 0
-            for i in range(r):
-                if not (mask >> i) & 1:
-                    mi = comp[i]
-                    if not mi:
-                        coeff = _F0
-                        break
-                    coeff = coeff * mi
-                    removed += 1
-            if not coeff:
-                continue
-            kept = _merge_blocks([blocks[i] for i in range(r) if (mask >> i) & 1])
-            sub = self._word_fraction(_blocks_to_word(kept))
-            if not sub:
-                continue
-            term = coeff * sub
-            total = total + term if removed % 2 == 1 else total - term
-        return total
+        letters: list = []
+        collapsed = W.BC_IDENTITY
+        blocks = 0
+        in_run = False  # inside a run of free letters
+        for it in w:
+            if isinstance(it, W.BCElement):
+                collapsed = W.bc_mul(collapsed, it)
+                blocks += 1
+                in_run = False
+            else:
+                letters.append(it)
+                if not in_run:
+                    blocks += 1
+                in_run = True
+        if blocks > 1 and blocks > self.max_blocks:
+            raise LimitExceeded(f"word has {blocks} blocks, cap is {self.max_blocks}")
+        return self.cfg.s_state.moment_fraction(tuple(letters)) * self.cfg.bc_state.moment_fraction(collapsed)
 
 
 def free_moment(x: Element, cfg: StateConfig | None = None, *, max_blocks: int = DEFAULT_MAX_BLOCKS) -> GaussianRational:

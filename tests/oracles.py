@@ -3,7 +3,8 @@
 Everything here deliberately avoids the production code paths it is used
 to check: bicyclic multiplication is redone by string rewriting, free
 reduction by a fixpoint scan, the free-product moment by the literal
-two-level centered expansion.
+two-level centered expansion, the coordinate lemma by the scan over every
+(target, candidate) pair on the images the embedding builds.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import re
 from fractions import Fraction
 
 from pqt import words as W
-from pqt.algebra import Element, GaussianRational
+from pqt.algebra import Element, GaussianRational, delta
+from pqt.embedding import CheckReport, Embedding
 from pqt.states import StateConfig, Character, Vacuum
 
 
@@ -203,6 +205,39 @@ def _centered_product_moment(kept, blocks, mus, cfg) -> Fraction:
         word = _blocks_word(_oracle_merge(chosen))
         total += scalar * moment_two_level(word, cfg)
     return total
+
+
+# -- pairwise coordinate scan ------------------------------------------------------
+
+
+def coordinate_separation_pairwise(m, k, gamma=None) -> CheckReport:
+    """The coordinate lemma by one lookup per (target, candidate) pair, in order."""
+    emb = Embedding(gamma)
+    candidates = W.enumerate_words(m, k, W.SINF)
+    targets = [w for w in candidates if len(w) == m]
+    images = [(y, emb.apply(delta(W.SINF, y))) for y in candidates]
+    counterexample = None
+    pairs = 0
+    for w in targets:
+        for y, image in images:
+            pairs += 1
+            coeff = image.coordinate(w)
+            if (not coeff.is_zero()) != (y == w):
+                counterexample = {
+                    "target": W.render_word(W.SINF, w),
+                    "candidate": W.render_word(W.SINF, y),
+                    "coefficient": str(coeff),
+                }
+                break
+        if counterexample:
+            break
+    return CheckReport(
+        check="coordinate-lemma",
+        params={"m": m, "k": k, "gamma": emb.gamma.name},
+        result="fail" if counterexample else "pass",
+        counterexample=counterexample,
+        details={"targets": len(targets), "candidates": len(candidates), "pairs_checked": pairs},
+    )
 
 
 # -- dense exact linear algebra, for checking the sparse kernels -------------------

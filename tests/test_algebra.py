@@ -164,3 +164,12 @@ def test_zero_handling():
 def test_render_sorted_by_word_order():
     x = delta(W.BCS, (T(2),)) + unit(W.BCS) + delta(W.BCS, (W.P, T(2))).scale(Fraction(1, 2))
     assert x.render() == "1*e + 1*t2 + 1/2*p t2"
+
+
+def test_constructors_fold_keys_into_normal_form():
+    assert delta(W.BCS, (W.P, W.P)) == delta(W.BCS, (B(0, 2),))
+    assert delta(W.BCS, (W.P, W.Q, T(1))) == delta(W.BCS, (T(1),))
+    el = Element(W.BCS, {(W.P, W.P): 1, (B(0, 2),): 1})
+    assert el.terms == {(B(0, 2),): GaussianRational(2)}
+    assert Element(W.BCS, {(W.P, W.Q): 1, (): -1}).is_zero()
+    assert delta(W.F2, (("x", 1), ("x", -1), ("y", 1))) == delta(W.F2, (("y", 1),))

@@ -82,6 +82,9 @@ def test_cli_mul_and_normalize(capsys):
     assert code == 0 and payload["result"] == "1*q p"
     code, payload = run_cli(capsys, "normalize", "--universe", "bcs", "p q p q")
     assert code == 0 and payload["result"] == "1*e"
+    # an expression may open with a negative scalar
+    code, payload = run_cli(capsys, "mul", "--universe", "bcs", "p", "-1/2*q")
+    assert code == 0 and payload["result"] == "-1/2*e"
 
 
 def test_cli_star_coord_phi_trace(capsys):
@@ -126,6 +129,9 @@ def test_cli_moment_and_gram(capsys):
     assert code == 0 and payload["psd"] is True
     code, payload = run_cli(capsys, "gram", "--m", "1", "--k", "1", "--vacuum")
     assert code == 0 and payload["psd"] is True
+    code, payload = run_cli(capsys, "gram", "--universe", "bc", "--m", "2")
+    assert code == 0 and payload["psd"] is True
+    assert payload["words"] == ["e", "p", "p p", "q", "q p", "q q"]
 
 
 def test_cli_rep_commands(capsys):
@@ -189,3 +195,24 @@ def test_cli_config_file_supplies_flag_defaults(capsys, tmp_path):
     assert code == 0 and payload["params"]["m"] == 1
     code, payload = run_cli(capsys, "rank", "--config", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_cli_config_values_are_type_checked(capsys, tmp_path):
+    cfg = tmp_path / "flags.json"
+    for command, bad in (
+        ("lemma-support", {"m": 2.5}),
+        ("lemma-support", {"m": True}),
+        ("lemma-support", {"gamma": 1}),
+        ("gram", {"vacuum": 1}),
+        ("gram", {"universe": "f2"}),
+    ):
+        cfg.write_text(json.dumps(bad))
+        code, payload = run_cli(capsys, command, "--config", str(cfg), "--k", "1")
+        assert code == 2 and payload["result"] == "error", bad
+    cfg.write_text(json.dumps({"m": 2}))
+    code, payload = run_cli(capsys, "lemma-support", "--config", str(cfg), "--k", "1")
+    assert code == 0 and payload["params"]["m"] == 2
+    # a value is checked against the command it is used by
+    cfg.write_text(json.dumps({"universe": "f2"}))
+    code, payload = run_cli(capsys, "normalize", "--config", str(cfg), "x x-")
+    assert code == 0 and payload["result"] == "1*e"

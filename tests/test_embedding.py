@@ -21,7 +21,7 @@ from pqt.embedding import (
     verify_support_bound,
 )
 from pqt.errors import LimitExceeded
-from oracles import random_element
+from oracles import coordinate_separation_pairwise, random_element
 
 B = W.BCElement
 T = W.t
@@ -118,6 +118,47 @@ def test_coordinate_separation_largest_stage():
     assert report.passed
     assert report.details["targets"] == 1296
     assert report.details["candidates"] == 1555
+
+
+def _same_report(got, expected):
+    got.elapsed_ms = expected.elapsed_ms = 0.0
+    assert got.to_dict() == expected.to_dict()
+
+
+@pytest.mark.parametrize("m, k", [(0, 1), (1, 2), (2, 2), (3, 2)])
+@pytest.mark.parametrize("gamma", GAMMAS, ids=lambda g: g.name)
+def test_coordinate_separation_matches_pairwise_scan(gamma, m, k):
+    _same_report(verify_coordinate_separation(m, k, gamma), coordinate_separation_pairwise(m, k, gamma))
+
+
+@pytest.mark.parametrize(
+    "injected",
+    [
+        # a shorter candidate reaches a target
+        {(T(1),): [((T(2), T(1)), 3)]},
+        # a target loses its own coordinate, and a later target is hit
+        {(T(1), T(1)): [((T(1), T(1)), None)], (T(2), T(2)): [((T(1), T(2)), 1)]},
+        # two candidates hit targets; the earlier target decides, not the earlier candidate
+        {(T(1),): [((T(2, True), T(2)), 1)], (T(2),): [((T(1), T(1, True)), Fraction(-1, 2))]},
+    ],
+    ids=["short-hits-target", "lost-self", "first-by-target"],
+)
+def test_coordinate_separation_reports_the_first_violation(monkeypatch, injected):
+    word_image = Embedding.word_image
+
+    def tampered(self, w):
+        image = word_image(self, w)
+        for u, c in injected.get(w, ()):
+            if c is None:
+                image = image - delta(W.BCS, u).scale(image.coordinate(u))
+            else:
+                image = image + delta(W.BCS, u).scale(c)
+        return image
+
+    monkeypatch.setattr(Embedding, "word_image", tampered)
+    got = verify_coordinate_separation(2, 2)
+    assert not got.passed
+    _same_report(got, coordinate_separation_pairwise(2, 2))
 
 
 def test_coordinate_values_at_small_length():

@@ -108,6 +108,20 @@ def test_convergence_rows():
     assert set(payload["rows"][0]) == {"n", "gamma", "norm_an_minus_p", "iters"}
 
 
+@pytest.mark.parametrize("dim", [8, 16])
+def test_item_matrix_equals_shift_products(dim):
+    # every q^a p^b with a, b <= dim, truncation edges included
+    rep = ShiftRepresentation(RepConfig(dim=dim))
+    for a in range(dim + 1):
+        for b in range(dim + 1):
+            out = np.eye(dim, dtype=complex)
+            for _ in range(a):
+                out = rep.forward_shift @ out
+            for _ in range(b):
+                out = out @ rep.backward_shift
+            assert np.array_equal(rep.item_matrix(B(a, b)), out), (a, b)
+
+
 def test_boundary_exactness(rep):
     report = boundary_exactness_check(4, CFG)
     assert report.passed

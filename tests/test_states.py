@@ -1,4 +1,4 @@
-"""States: component moments, the free-product recursion, PSD checks, trace."""
+"""States: component moments, free-product moments, PSD checks, trace."""
 
 import random
 from fractions import Fraction
@@ -22,7 +22,7 @@ from pqt.states import (
     psd_decide,
     trace_f2,
 )
-from oracles import moment_two_level, random_element, random_word
+from oracles import moment_two_level, random_element, random_word, reblock
 
 B = W.BCElement
 T = W.t
@@ -76,6 +76,19 @@ def test_free_moment_unital_and_linear():
     assert state.moment(x) == gr("1/3") + ONE
 
 
+# words of 6 to 10 alternating blocks, each with a nonzero moment under a character
+DEEP_WORDS = [
+    reblock(text.split())
+    for text in (
+        "t1 q q t1* p t2* p",
+        "t1 p t1* t1* t2 q t2* t1 t2 q p t2",
+        "p t1 p t1 t2* t2 t1* t1 q q t1* q p t1",
+        "t2 q p t2 q p t2* p p t1 t2* q q t1",
+        "t2* t1* p t1 q q t1 p p t2 q p t1 q",
+    )
+]
+
+
 @pytest.mark.parametrize(
     "cfg",
     [StateConfig(), StateConfig(s_state=Character(Fraction(1, 3))), VACUUM],
@@ -84,8 +97,8 @@ def test_free_moment_unital_and_linear():
 def test_free_moment_matches_two_level_oracle(cfg):
     rng = random.Random(301)
     state = FreeProductState(cfg)
-    for _ in range(120):
-        w = random_word(rng, W.BCS, max_len=4, max_index=2, max_exp=2)
+    shallow = [random_word(rng, W.BCS, max_len=4, max_index=2, max_exp=2) for _ in range(120)]
+    for w in shallow + DEEP_WORDS:
         got = state.word_moment(w)
         expected = moment_two_level(w, cfg)
         assert got == GaussianRational(expected), W.render_word(W.BCS, w)
@@ -97,7 +110,6 @@ def test_free_moment_factors_through_block_collapse(z):
     # as z = 0), the free-product state must factor through the
     # *-homomorphism that evaluates letters to z and multiplies the
     # bicyclic blocks in order: mu(w) = z^letters * mu1(collapse(w)).
-    # That closed form never touches the centering recursion.
     cfg = StateConfig(s_state=Vacuum()) if z == 0 else StateConfig(s_state=Character(z))
     state = FreeProductState(cfg)
     rng = random.Random(int(z * 1000) + 7)
