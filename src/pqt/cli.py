@@ -27,6 +27,7 @@ from .errors import ExprSyntaxError, LimitExceeded, UniverseMismatch
 from . import words as W
 from .algebra import Element, GaussianRational, ONE, delta
 from .embedding import (
+    DEFAULT_MAX_CELLS,
     Embedding,
     GammaSequence,
     gamma_by_name,
@@ -41,7 +42,6 @@ from .states import (
     StateConfig,
     Vacuum,
     gram_psd_check,
-    state_word_moment,
     trace_f2,
 )
 from .oper import RepConfig, boundary_exactness_check, convergence_report
@@ -185,13 +185,6 @@ def parse_element(text: str, universe: str) -> Element:
 # -- command handlers -----------------------------------------------------------
 
 
-def _element_moment(el: Element, state: FreeProductState) -> GaussianRational:
-    total = GaussianRational(0)
-    for w, c in el.terms.items():
-        total = total + c * state_word_moment(el.universe, state, w)
-    return total
-
-
 def _state_config(args) -> StateConfig:
     if getattr(args, "vacuum", False):
         return StateConfig(s_state=Vacuum())
@@ -257,8 +250,8 @@ def _cmd_inv_search(args):
 
 def _cmd_moment(args):
     el = parse_element(args.expr, args.universe)
-    state = FreeProductState(_state_config(args), max_blocks=args.max_blocks)
-    value = _element_moment(el, state)
+    state = FreeProductState(_state_config(args))
+    value = state.moment(el)
     return {"command": "moment", "state_config": state.cfg.describe(), "result": str(value)}, 0
 
 
@@ -275,7 +268,9 @@ def _cmd_gram(args):
         words = W.bc_elements(args.m)
     else:
         words = W.enumerate_words(args.m, args.k, args.universe, limit=limit)
-    report = gram_psd_check(args.universe, words, cfg, max_blocks=args.max_blocks)
+    if limit is not None and len(words) ** 2 > DEFAULT_MAX_CELLS:
+        raise LimitExceeded(f"gram matrix {len(words)}x{len(words)} exceeds max_cells={DEFAULT_MAX_CELLS}")
+    report = gram_psd_check(args.universe, words, cfg)
     return report.to_dict(), 0 if report.psd else 1
 
 
@@ -378,7 +373,6 @@ def _add_universe(sub, default=None, choices=W.UNIVERSES):
 def _add_state_flags(sub):
     sub.add_argument("--z", default="1/2", help="character value for the free-monoid state (rational)")
     sub.add_argument("--vacuum", action="store_true", help="use the vacuum instead of a character")
-    sub.add_argument("--max-blocks", type=int, default=10)
 
 
 def _build() -> tuple:

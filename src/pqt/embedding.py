@@ -395,28 +395,12 @@ def inverse_search(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     start = time.perf_counter()
     uni = a.universe
-    identity = W.identity_word(uni)
     max_index = max((W.max_free_index(uni, w) for w in a.support()), default=0)
     cands = _candidate_words(uni, max_index, m, k_extra, block_exponent_factor, limit)
-
-    row_of: dict = {identity: 0}
-    rows: list = [{_RHS: ONE}]
-    for j, w in enumerate(cands):
-        dw = delta(uni, w)
-        prod = a * dw if side == "right" else dw * a
-        for u, coeff in prod.terms.items():
-            i = row_of.get(u)
-            if i is None:
-                i = len(rows)
-                row_of[u] = i
-                rows.append({})
-            rows[i][j] = coeff
-    solution, rank, rank_aug = sparse_solve(rows, len(cands))
+    block, rank, rank_aug = _solve_unknown_block(ElementMatrix([[a]]), side, 0, cands)
     elapsed = (time.perf_counter() - start) * 1000.0
-    if solution is None:
-        return InverseSearchResult(False, None, side, uni, m, k_extra, len(cands), rank, rank_aug, elapsed)
-    x = Element(uni, {cands[j]: c for j, c in solution.items()})
-    return InverseSearchResult(True, x, side, uni, m, k_extra, len(cands), rank, rank_aug, elapsed)
+    x = None if block is None else block[0]
+    return InverseSearchResult(block is not None, x, side, uni, m, k_extra, len(cands), rank, rank_aug, elapsed)
 
 
 # -- matrices over elements -----------------------------------------------------
@@ -478,6 +462,42 @@ def mat_mul(a: ElementMatrix, b: ElementMatrix) -> ElementMatrix:
     return ElementMatrix(out)
 
 
+def _solve_unknown_block(a: ElementMatrix, side: str, index: int, cands: list) -> tuple:
+    """Solve for one unknown block of a one-sided inverse X of the square A.
+
+    The block is column ``index`` of X in A X = I for side "right", row
+    ``index`` of X in X A = I for side "left".  Each of its n entries is a
+    combination of the candidate words; the system's rows are the
+    coordinates (r, u) of the n products, the right-hand side is the
+    identity's column.  Returns (the n solved entries | None, rank,
+    augmented rank).
+    """
+    uni, n, ncand = a.universe, a.rows, len(cands)
+    identity = W.identity_word(uni)
+    row_of: dict = {(r, identity): r for r in range(n)}
+    rows: list = [{_RHS: ONE} if r == index else {} for r in range(n)]
+    for j in range(n):
+        for w_ix, w in enumerate(cands):
+            dw = delta(uni, w)
+            col_id = j * ncand + w_ix
+            for r in range(n):
+                prod = a[r, j] * dw if side == "right" else dw * a[j, r]
+                for u, coeff in prod.terms.items():
+                    i = row_of.get((r, u))
+                    if i is None:
+                        i = row_of[r, u] = len(rows)
+                        rows.append({})
+                    rows[i][col_id] = coeff
+    solution, rank, rank_aug = sparse_solve(rows, n * ncand)
+    if solution is None:
+        return None, rank, rank_aug
+    terms: list = [{} for _ in range(n)]
+    for col, c in solution.items():
+        j, w_ix = divmod(col, ncand)
+        terms[j][cands[w_ix]] = c
+    return [Element(uni, t) for t in terms], rank, rank_aug
+
+
 @dataclass
 class MatrixInverseResult:
     found: bool
@@ -522,53 +542,21 @@ def mat_inverse_search(
     start = time.perf_counter()
     uni = a.universe
     n = a.rows
-    identity = W.identity_word(uni)
     max_index = max(
         (W.max_free_index(uni, w) for row in a.entries for el in row for w in el.support()),
         default=0,
     )
     cands = _candidate_words(uni, max_index, m, k_extra, block_exponent_factor, limit)
-    ncand = len(cands)
-
-    # unknown block: for "right" the c-th column of X, for "left" the r-th row
     solved: list = []
-    for block in range(n):
-        row_of: dict = {}
-        rows: list = []
-        for r in range(n):
-            key = (r, identity)
-            row_of[key] = len(rows)
-            rows.append({_RHS: ONE} if r == block else {})
-        for j in range(n):
-            for w_ix, w in enumerate(cands):
-                dw = delta(uni, w)
-                col_id = j * ncand + w_ix
-                for r in range(n):
-                    prod = a[r, j] * dw if side == "right" else dw * a[j, r]
-                    for u, coeff in prod.terms.items():
-                        key = (r, u)
-                        i = row_of.get(key)
-                        if i is None:
-                            i = len(rows)
-                            row_of[key] = i
-                            rows.append({})
-                        rows[i][col_id] = coeff
-        solution, _, _ = sparse_solve(rows, n * ncand)
-        if solution is None:
-            return MatrixInverseResult(False, None, side, m, ncand, (time.perf_counter() - start) * 1000.0)
-        block_entries = []
-        for j in range(n):
-            terms = {}
-            for w_ix, w in enumerate(cands):
-                c = solution.get(j * ncand + w_ix, ZERO)
-                if not c.is_zero():
-                    terms[w] = c
-            block_entries.append(Element(uni, terms))
-        solved.append(block_entries)
+    for index in range(n):
+        block, _, _ = _solve_unknown_block(a, side, index, cands)
+        if block is None:
+            return MatrixInverseResult(False, None, side, m, len(cands), (time.perf_counter() - start) * 1000.0)
+        solved.append(block)
 
     if side == "right":
         entries = [[solved[c][r] for c in range(n)] for r in range(n)]
     else:
         entries = [[solved[r][c] for c in range(n)] for r in range(n)]
     x = ElementMatrix(entries)
-    return MatrixInverseResult(True, x, side, m, ncand, (time.perf_counter() - start) * 1000.0)
+    return MatrixInverseResult(True, x, side, m, len(cands), (time.perf_counter() - start) * 1000.0)

@@ -41,9 +41,6 @@ class ShiftRepresentation:
 
     def __init__(self, cfg: RepConfig | None = None):
         self.cfg = cfg if cfg is not None else RepConfig()
-        d = self.cfg.dim
-        self._forward = np.eye(d, k=-1, dtype=complex)  # e_i -> e_{i+1}, kills e_{d-1}
-        self._backward = self._forward.conj().T  # e_i -> e_{i-1}, kills e_0
         self._free: dict = {}
 
     @property
@@ -52,11 +49,13 @@ class ShiftRepresentation:
 
     @property
     def forward_shift(self) -> np.ndarray:
-        return self._forward
+        """q: e_i -> e_(i+1), kills e_(d-1)."""
+        return self.item_matrix(W.Q)
 
     @property
     def backward_shift(self) -> np.ndarray:
-        return self._backward
+        """p: e_i -> e_(i-1), kills e_0."""
+        return self.item_matrix(W.P)
 
     def free_matrix(self, n: int, starred: bool = False) -> np.ndarray:
         if not 1 <= n <= self.cfg.max_index:

@@ -2,9 +2,9 @@
 
 The bicyclic component carries the diagonal-density shift state
 mu1(q^a p^b) = [a == b] * 2^-a, whose dyadic weights keep every moment an
-exact rational.  The free *-monoid component carries a character: either
-Character(z), under which each generator evaluates to the rational z, or
-the vacuum, which takes the same values as Character(0).
+exact rational.  The free *-monoid component carries a character
+Character(z), under which each generator evaluates to the rational z; the
+vacuum is the character at z = 0.
 
 A character has a one-dimensional GNS space, so the centered part of any
 free-side block is zero in it.  In the free-product construction every
@@ -14,27 +14,27 @@ a word w factors in closed form:
     mu(w) = chi(free letters of w, in order) * mu1(product of w's bicyclic blocks)
 
 (Voiculescu, Dykema and Nica, Free Random Variables, CRM Monograph Series
-1, 1992).  ``tests/oracles.py`` keeps the literal two-level centered
-expansion that this closed form is checked against.
+1, 1992).  ``FreeProductState`` computes it in one pass over the word, for
+any length.  The component states are its restrictions: a bc word is read
+as a one-item product word and a sinf word as a product word without
+blocks, so one moment path serves all three universes.
+``tests/oracles.py`` keeps the literal two-level centered expansion that
+this closed form is checked against.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
-from .errors import LimitExceeded, UniverseMismatch
+from .errors import UniverseMismatch
 from . import words as W
 from .algebra import Element, GaussianRational, ONE, ZERO
 
-DEFAULT_MAX_BLOCKS = 10
-
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,9 @@ class DyadicShiftState:
         return {"kind": "dyadic-shift"}
 
 
+BC_STATE = DyadicShiftState()  # the one state the bicyclic component carries
+
+
 @dataclass(frozen=True)
 class Character:
     """Multiplicative state: every generator letter contributes a factor z."""
@@ -65,60 +68,46 @@ class Character:
     def moment_fraction(self, w) -> Fraction:
         return self.z ** len(w)
 
-    def moment(self, w) -> GaussianRational:
-        return GaussianRational(self.moment_fraction(w))
-
     def describe(self) -> dict:
         return {"kind": "character", "z": str(self.z)}
 
 
 @dataclass(frozen=True)
-class Vacuum:
-    """Coefficient-at-identity state on the free *-monoid algebra."""
+class Vacuum(Character):
+    """Coefficient-at-identity state on the free *-monoid algebra: Character(0)."""
 
-    def moment_fraction(self, w) -> Fraction:
-        return _F1 if not w else _F0
-
-    def moment(self, w) -> GaussianRational:
-        return GaussianRational(self.moment_fraction(w))
+    z: Fraction = field(default=_F0, init=False)
 
     def describe(self) -> dict:
         return {"kind": "vacuum"}
 
 
-SState = Union[Character, Vacuum]
-
-
 @dataclass(frozen=True)
 class StateConfig:
-    bc_state: DyadicShiftState = DyadicShiftState()
-    s_state: SState = Character()
+    s_state: Character = Character()
 
     def describe(self) -> dict:
-        return {"bc_state": self.bc_state.describe(), "s_state": self.s_state.describe()}
+        return {"bc_state": BC_STATE.describe(), "s_state": self.s_state.describe()}
 
 
-def bc_moment(x: W.BCElement, state: DyadicShiftState | None = None) -> GaussianRational:
-    return (state or DyadicShiftState()).moment(x)
+def bc_moment(x: W.BCElement) -> GaussianRational:
+    return BC_STATE.moment(x)
 
 
 class FreeProductState:
-    """Moment functional on the free-product algebra, with memoisation.
+    """Moment functional on bc, sinf and bcs elements, with memoisation.
 
-    The cache maps normal-form words to their moments; inserts are
-    idempotent, so concurrent use only has to keep individual reads and
-    writes atomic.  ``max_blocks`` caps the alternating block count of a
-    word with two or more blocks.
+    The cache maps words to their moments; inserts are idempotent, so
+    concurrent use only has to keep individual reads and writes atomic.
     """
 
-    def __init__(self, cfg: StateConfig | None = None, max_blocks: int = DEFAULT_MAX_BLOCKS):
+    def __init__(self, cfg: StateConfig | None = None):
         self.cfg = cfg if cfg is not None else StateConfig()
-        self.max_blocks = max_blocks
         self._cache: dict = {(): ONE}
 
     def moment(self, x: Element) -> GaussianRational:
-        if x.universe != W.BCS:
-            raise UniverseMismatch(f"free-product state lives on {W.BCS!r}, got {x.universe!r}")
+        if x.universe == W.F2:
+            raise UniverseMismatch(f"free-product state lives on {W.BC!r}, {W.SINF!r} and {W.BCS!r}, got {x.universe!r}")
         total = ZERO
         for w, c in x.terms.items():
             total = total + c * self.word_moment(w)
@@ -127,45 +116,23 @@ class FreeProductState:
     def word_moment(self, w) -> GaussianRational:
         cached = self._cache.get(w)
         if cached is None:
-            cached = GaussianRational(self._word_fraction(w))
+            cached = GaussianRational(self._word_fraction((w,) if isinstance(w, W.BCElement) else w))
             self._cache[w] = cached
         return cached
 
     def _word_fraction(self, w) -> Fraction:
         letters: list = []
         collapsed = W.BC_IDENTITY
-        blocks = 0
-        in_run = False  # inside a run of free letters
         for it in w:
             if isinstance(it, W.BCElement):
                 collapsed = W.bc_mul(collapsed, it)
-                blocks += 1
-                in_run = False
             else:
                 letters.append(it)
-                if not in_run:
-                    blocks += 1
-                in_run = True
-        if blocks > 1 and blocks > self.max_blocks:
-            raise LimitExceeded(f"word has {blocks} blocks, cap is {self.max_blocks}")
-        return self.cfg.s_state.moment_fraction(tuple(letters)) * self.cfg.bc_state.moment_fraction(collapsed)
+        return self.cfg.s_state.moment_fraction(letters) * BC_STATE.moment_fraction(collapsed)
 
 
-def free_moment(x: Element, cfg: StateConfig | None = None, *, max_blocks: int = DEFAULT_MAX_BLOCKS) -> GaussianRational:
-    return FreeProductState(cfg, max_blocks=max_blocks).moment(x)
-
-
-def state_word_moment(universe: str, state: FreeProductState, w) -> GaussianRational:
-    """Moment of a single word in any universe the states cover."""
-    if universe == W.BC:
-        return state.cfg.bc_state.moment(w)
-    if universe == W.SINF:
-        return state.cfg.s_state.moment(w)
-    if universe == W.BCS:
-        return state.word_moment(w)
-    if universe == W.F2:
-        return ONE if not w else ZERO  # the canonical trace
-    raise ValueError(f"unknown universe {universe!r}")
+def free_moment(x: Element, cfg: StateConfig | None = None) -> GaussianRational:
+    return FreeProductState(cfg).moment(x)
 
 
 # -- exact positive-semidefiniteness -------------------------------------------
@@ -257,12 +224,14 @@ def psd_decide(gram: list) -> tuple:
 
 
 def gram_matrix(universe: str, words: list, state: FreeProductState) -> list:
+    """G[i][j] = state(w_i* w_j); on f2 the canonical trace, [w_i* w_j == e]."""
+    moment = (lambda w: ZERO if w else ONE) if universe == W.F2 else state.word_moment
     n = len(words)
     stars = [W.word_star(universe, w) for w in words]
     G = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            val = state_word_moment(universe, state, W.word_mul(universe, stars[i], words[j]))
+            val = moment(W.word_mul(universe, stars[i], words[j]))
             G[i][j] = val
             if i != j:
                 G[j][i] = val.conjugate()
@@ -296,18 +265,12 @@ class GramReport:
         return out
 
 
-def gram_psd_check(
-    universe: str,
-    words: list,
-    cfg: StateConfig | None = None,
-    *,
-    max_blocks: int = DEFAULT_MAX_BLOCKS,
-) -> GramReport:
+def gram_psd_check(universe: str, words: list, cfg: StateConfig | None = None) -> GramReport:
     """Exact positivity check of the state on span{delta_w : w in words}."""
     if len(set(words)) != len(words):
         raise ValueError("gram words must be pairwise distinct")
     start = time.perf_counter()
-    state = FreeProductState(cfg, max_blocks=max_blocks)
+    state = FreeProductState(cfg)
     G = gram_matrix(universe, words, state)
     psd, minor = psd_decide(G)
     elapsed = (time.perf_counter() - start) * 1000.0

@@ -134,6 +134,41 @@ def test_cli_moment_and_gram(capsys):
     assert payload["words"] == ["e", "p", "p p", "q", "q p", "q q"]
 
 
+# (argv, exit code, JSON payload without elapsed_ms) for the state and
+# inverse-search commands over every universe they take
+GOLDEN = [
+    (['moment', '--universe', 'bc', 'q p'], 0, '{"command": "moment", "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "character", "z": "1/2"}}, "result": "1/2"}'),
+    (['moment', '--universe', 'bc', '--vacuum', '2*q q p p + 1/3*e - p'], 0, '{"command": "moment", "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "vacuum"}}, "result": "5/6"}'),
+    (['moment', '--universe', 'sinf', '--z', '1/3', 't1 t2* + 1/2*t1'], 0, '{"command": "moment", "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "character", "z": "1/3"}}, "result": "5/18"}'),
+    (['moment', '--universe', 'sinf', '--vacuum', '3*e + t1 t1*'], 0, '{"command": "moment", "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "vacuum"}}, "result": "3"}'),
+    (['moment', '--universe', 'bcs', 'q t1 p'], 0, '{"command": "moment", "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "character", "z": "1/2"}}, "result": "1/4"}'),
+    (['moment', '--universe', 'bcs', '--z', '-3/5', 'q t1 p t2 + 2*t1* q p'], 0, '{"command": "moment", "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "character", "z": "-3/5"}}, "result": "-21/50"}'),
+    (['moment', '--universe', 'bcs', '--vacuum', '1+2i*q t1 p + q p'], 0, '{"command": "moment", "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "vacuum"}}, "result": "1/2"}'),
+    (['gram', '--universe', 'bc', '--m', '2'], 0, '{"check": "gram-psd", "universe": "bc", "words": ["e", "p", "p p", "q", "q p", "q q"], "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "character", "z": "1/2"}}, "psd": true}'),
+    (['gram', '--universe', 'bc', '--m', '1', '--vacuum'], 0, '{"check": "gram-psd", "universe": "bc", "words": ["e", "p", "q"], "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "vacuum"}}, "psd": true}'),
+    (['gram', '--universe', 'bc', '--words', 'e; q; q q'], 0, '{"check": "gram-psd", "universe": "bc", "words": ["e", "q", "q q"], "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "character", "z": "1/2"}}, "psd": true}'),
+    (['gram', '--universe', 'sinf', '--m', '1', '--k', '2', '--z', '2'], 0, '{"check": "gram-psd", "universe": "sinf", "words": ["e", "t1", "t1*", "t2", "t2*"], "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "character", "z": "2"}}, "psd": true}'),
+    (['gram', '--universe', 'sinf', '--vacuum', '--words', 'e; t1; t1*'], 0, '{"check": "gram-psd", "universe": "sinf", "words": ["e", "t1", "t1*"], "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "vacuum"}}, "psd": true}'),
+    (['gram', '--universe', 'bcs', '--m', '1', '--k', '1'], 0, '{"check": "gram-psd", "universe": "bcs", "words": ["e", "p", "p p", "p p p", "q", "q p", "q p p", "q q", "q q p", "q q q", "t1", "t1*"], "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "character", "z": "1/2"}}, "psd": true}'),
+    (['gram', '--universe', 'bcs', '--m', '1', '--k', '1', '--vacuum'], 0, '{"check": "gram-psd", "universe": "bcs", "words": ["e", "p", "p p", "p p p", "q", "q p", "q p p", "q q", "q q p", "q q q", "t1", "t1*"], "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "vacuum"}}, "psd": true}'),
+    (['gram', '--universe', 'bcs', '--z', '-1/2', '--words', 'e; q t1; t1 p; q t1 p'], 0, '{"check": "gram-psd", "universe": "bcs", "words": ["e", "q t1", "t1 p", "q t1 p"], "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "character", "z": "-1/2"}}, "psd": true}'),
+    (['inv-search', '--universe', 'bc', '--side', 'right', '--m', '3', '2/3*p'], 0, '{"check": "inverse-search", "params": {"side": "right", "universe": "bc", "m": 3, "k_extra": 0}, "result": "found", "candidates": 10, "rank": 8, "rank_augmented": 8, "solution": "3/2*q"}'),
+    (['inv-search', '--universe', 'bc', '--side', 'left', '--m', '3', 'q'], 0, '{"check": "inverse-search", "params": {"side": "left", "universe": "bc", "m": 3, "k_extra": 0}, "result": "found", "candidates": 10, "rank": 8, "rank_augmented": 8, "solution": "1*p"}'),
+    (['inv-search', '--universe', 'bc', '--side', 'right', '--m', '3', 'q'], 1, '{"check": "inverse-search", "params": {"side": "right", "universe": "bc", "m": 3, "k_extra": 0}, "result": "infeasible", "candidates": 10, "rank": 10, "rank_augmented": 11}'),
+    (['inv-search', '--universe', 'bcs', '--side', 'right', '--m', '1', 'p'], 0, '{"check": "inverse-search", "params": {"side": "right", "universe": "bcs", "m": 1, "k_extra": 0}, "result": "found", "candidates": 10, "rank": 8, "rank_augmented": 8, "solution": "1*q"}'),
+    (['inv-search', '--universe', 'bcs', '--side', 'left', '--m', '1', '1*e + 1/2*t2'], 1, '{"check": "inverse-search", "params": {"side": "left", "universe": "bcs", "m": 1, "k_extra": 0}, "result": "infeasible", "candidates": 14, "rank": 14, "rank_augmented": 15}'),
+    (['inv-search', '--universe', 'sinf', '--side', 'right', '--m', '2', '3*e'], 0, '{"check": "inverse-search", "params": {"side": "right", "universe": "sinf", "m": 2, "k_extra": 0}, "result": "found", "candidates": 1, "rank": 1, "rank_augmented": 1, "solution": "1/3*e"}'),
+    (['inv-search', '--universe', 'sinf', '--side', 'left', '--m', '2', '1*e + 2*t1'], 1, '{"check": "inverse-search", "params": {"side": "left", "universe": "sinf", "m": 2, "k_extra": 0}, "result": "infeasible", "candidates": 7, "rank": 7, "rank_augmented": 8}'),
+]
+
+
+def test_cli_golden_outputs(capsys):
+    for argv, code, text in GOLDEN:
+        got_code, payload = run_cli(capsys, *argv)
+        payload.pop("elapsed_ms", None)
+        assert (got_code, payload) == (code, json.loads(text)), argv
+
+
 def test_cli_rep_commands(capsys):
     code, payload = run_cli(capsys, "rep-report", "--count", "3", "--dim", "32")
     assert code == 0 and len(payload["rows"]) == 3
@@ -153,6 +188,8 @@ def test_cli_usage_and_parse_errors_are_json(capsys):
     assert code == 2  # missing operand
     code, payload = run_cli(capsys, "inv-search", "--universe", "bc", "--side", "up", "--m", "1", "p")
     assert code == 2
+    code, payload = run_cli(capsys, "moment", "--max-blocks", "2", "q t1 p t2 q q")
+    assert code == 2  # the block cap is gone; moments take words of any length
 
 
 def test_cli_resource_limits_exit_three(capsys):
@@ -160,8 +197,8 @@ def test_cli_resource_limits_exit_three(capsys):
     assert code == 3 and payload["result"] == "error"
     code, payload = run_cli(capsys, "gram", "--m", "4", "--k", "6")
     assert code == 3
-    code, payload = run_cli(capsys, "moment", "--max-blocks", "2", "q t1 p t2 q q")
-    assert code == 3
+    code, payload = run_cli(capsys, "gram", "--m", "3", "--k", "1")
+    assert code == 3  # 6765 words enumerate, but their gram matrix is over budget
 
 
 def test_cli_subprocess_entry_point():

@@ -8,7 +8,6 @@ import pytest
 
 from pqt import words as W
 from pqt.algebra import Element, GaussianRational, ONE, ZERO, delta, linear_combine, unit, zero
-from pqt.errors import LimitExceeded
 from pqt.states import (
     Character,
     DyadicShiftState,
@@ -104,6 +103,29 @@ def test_free_moment_matches_two_level_oracle(cfg):
         assert got == GaussianRational(expected), W.render_word(W.BCS, w)
 
 
+def _long_word(rng, blocks):
+    # exactly ``blocks`` alternating blocks; the last bicyclic block is the star
+    # of the product c of the earlier ones, and c c* = q^a p^a has a nonzero moment
+    items, collapsed = [], W.BC_IDENTITY
+    bc = rng.random() < 0.5
+    for n in range(blocks):
+        if not bc:
+            items.extend(T(rng.randint(1, 3), rng.random() < 0.5) for _ in range(rng.randint(1, 2)))
+        elif n + 2 < blocks:
+            a = rng.randint(0, 2)
+            items.append(B(a, rng.randint(0 if a else 1, 2)))
+            collapsed = W.bc_mul(collapsed, items[-1])
+        else:
+            items.append(B(1, 1) if collapsed.is_identity() else W.bc_star(collapsed))
+        bc = not bc
+    return tuple(items)
+
+
+# words of 11 to 24 alternating blocks, too long for the two-level oracle
+_LONG_RNG = random.Random(309)
+LONG_WORDS = [_long_word(_LONG_RNG, blocks) for blocks in range(11, 25)]
+
+
 @pytest.mark.parametrize("z", [Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(2)])
 def test_free_moment_factors_through_block_collapse(z):
     # For a multiplicative free-monoid state (characters, incl. the vacuum
@@ -113,8 +135,7 @@ def test_free_moment_factors_through_block_collapse(z):
     cfg = StateConfig(s_state=Vacuum()) if z == 0 else StateConfig(s_state=Character(z))
     state = FreeProductState(cfg)
     rng = random.Random(int(z * 1000) + 7)
-    for _ in range(400):
-        w = random_word(rng, W.BCS, max_len=5, max_index=3, max_exp=3)
+    for w in [random_word(rng, W.BCS, max_len=5, max_index=3, max_exp=3) for _ in range(400)] + LONG_WORDS:
         letters = sum(1 for it in w if isinstance(it, W.FreeGen))
         collapsed = W.BC_IDENTITY
         for it in w:
@@ -159,8 +180,10 @@ def test_centered_alternating_products_vanish():
 
 def test_vacuum_degeneracy_on_enumeration():
     state = FreeProductState(VACUUM)
+    character_zero = FreeProductState(StateConfig(s_state=Character(0)))
     for w in W.enumerate_words(4, 2, W.BCS, block_exponent_factor=1):
         val = state.word_moment(w)
+        assert val == character_zero.word_moment(w)
         if any(isinstance(it, W.FreeGen) for it in w):
             assert val == ZERO
         else:
@@ -176,15 +199,6 @@ def test_moment_cache_matches_fresh_recomputation():
         state.word_moment(w)
     for w, cached in list(state._cache.items()):
         assert FreeProductState().word_moment(w) == cached
-
-
-def test_block_cap():
-    items = []
-    for i in range(6):
-        items.extend([B(1, 0), T(1)])
-    w = W.normalize_items(items)
-    with pytest.raises(LimitExceeded):
-        free_moment(delta(W.BCS, w), max_blocks=5)
 
 
 def test_gram_pinned_small_cases():
