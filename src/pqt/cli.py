@@ -279,12 +279,20 @@ def _cmd_trace(args):
     return {"command": "trace", "result": str(trace_f2(el))}, 0
 
 
+def _check_dim(dim: int) -> None:
+    # each d x d matrix of the shift representation holds d^2 complex cells
+    if dim**2 > DEFAULT_MAX_CELLS:
+        raise LimitExceeded(f"dim {dim} gives {dim}x{dim} matrices, over max_cells={DEFAULT_MAX_CELLS}")
+
+
 def _cmd_rep_report(args):
+    _check_dim(args.dim)
     report = convergence_report(args.count, RepConfig(dim=args.dim, max_index=max(args.count, 1)))
     return report.to_dict(), 0
 
 
 def _cmd_boundary_check(args):
+    _check_dim(args.dim)
     report = boundary_exactness_check(args.window, RepConfig(dim=args.dim))
     return report.to_dict(), 0 if report.passed else 1
 

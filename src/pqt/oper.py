@@ -20,9 +20,6 @@ from .errors import UniverseMismatch
 from . import words as W
 from .algebra import Element
 
-DEFAULT_NORM_TOL = 1e-10
-DEFAULT_NORM_MAX_ITER = 10_000
-
 
 @dataclass(frozen=True)
 class RepConfig:
@@ -100,49 +97,18 @@ class ShiftRepresentation:
 
 class OpNormResult(NamedTuple):
     value: float
-    iterations: int
-    converged: bool
+    iterations: int  # always 1: one direct solve
 
 
-def op_norm(a: np.ndarray, tol: float = DEFAULT_NORM_TOL, max_iterations: int = DEFAULT_NORM_MAX_ITER) -> OpNormResult:
-    """Largest singular value by power iteration on a*a.
-
-    The start vector is a fixed trigonometric fill, the accumulation order
-    is whatever the BLAS product does for the full matrix: both are pinned
-    so repeated runs agree bitwise.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = a.conj().T @ a
-    d = b.shape[0]
-    idx = np.arange(d, dtype=float)
-    v = np.cos(idx + 1.0) + 1j * np.sin(2.0 * idx + 1.0)
-    v = v / np.linalg.norm(v)
-    sigma = 0.0
-    sigma_prev = None
-    for it in range(1, max_iterations + 1):
-        w = b @ v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return OpNormResult(0.0, it, True)
-        v = w / lam
-        sigma = math.sqrt(lam)
-        if sigma_prev is not None and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
-            return OpNormResult(sigma, it, True)
-        sigma_prev = sigma
-    return OpNormResult(sigma, max_iterations, False)
+def op_norm(a: np.ndarray) -> OpNormResult:
+    """Largest singular value, from LAPACK's SVD (exact to machine precision)."""
+    return OpNormResult(float(np.linalg.norm(np.asarray(a, dtype=complex), 2)), 1)
 
 
-class GammaEstimate(NamedTuple):
-    value: float
-    iterations: int
-    converged: bool
-
-
-def gamma_from_rep(n: int, rep: ShiftRepresentation | None = None) -> GammaEstimate:
+def gamma_from_rep(n: int, rep: ShiftRepresentation | None = None) -> float:
     """The norm-matched weight 1 / (n * ||t_n matrix||)."""
     rep = rep if rep is not None else ShiftRepresentation()
-    norm = op_norm(rep.free_matrix(n))
-    return GammaEstimate(1.0 / (n * norm.value), norm.iterations, norm.converged)
+    return 1.0 / (n * op_norm(rep.free_matrix(n)).value)
 
 
 @dataclass
@@ -151,7 +117,6 @@ class ConvergenceRow:
     gamma: float
     norm_diff: float
     iterations: int
-    converged: bool
 
 
 @dataclass
@@ -173,7 +138,7 @@ def convergence_report(count: int, cfg: RepConfig | None = None) -> ConvergenceR
     """Distance of each weighted generator image from the p matrix.
 
     Row n reports ||(p + gamma_n t_n) - p|| with the norm-matched gamma,
-    which is 1/n up to the norm-estimation tolerance.
+    which is 1/n up to rounding.
     """
     rep = ShiftRepresentation(cfg)
     if count > rep.cfg.max_index:
@@ -183,9 +148,8 @@ def convergence_report(count: int, cfg: RepConfig | None = None) -> ConvergenceR
     for n in range(1, count + 1):
         r_mat = rep.free_matrix(n)
         gamma = gamma_from_rep(n, rep)
-        a_mat = p_mat + gamma.value * r_mat
-        diff = op_norm(a_mat - p_mat)
-        rows.append(ConvergenceRow(n, gamma.value, diff.value, diff.iterations, gamma.converged and diff.converged))
+        diff = op_norm((p_mat + gamma * r_mat) - p_mat)
+        rows.append(ConvergenceRow(n, gamma, diff.value, diff.iterations))
     return ConvergenceReport(rep.cfg.dim, rows)
 
 
@@ -224,8 +188,8 @@ def boundary_exactness_check(window: int, cfg: RepConfig | None = None) -> Bound
     """
     rep = ShiftRepresentation(cfg)
     d = rep.cfg.dim
-    if not window < d // 2:
-        raise ValueError(f"window {window} must be < dim/2 = {d // 2}")
+    if not 0 <= window < d // 2:
+        raise ValueError(f"window {window} must satisfy 0 <= window < dim/2 = {d // 2}")
     failures: list = []
     words = W.bc_elements(window)
     vectors = range(window, d - window)

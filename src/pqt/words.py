@@ -163,13 +163,7 @@ def fg_normalize(letters: Iterable[FGLetter]) -> FGWord:
 
 
 def fg_mul(l: FGWord, r: FGWord) -> FGWord:
-    stack = list(l)
-    for g, e in r:
-        if stack and stack[-1][0] == g and stack[-1][1] == -e:
-            stack.pop()
-        else:
-            stack.append((g, e))
-    return tuple(stack)
+    return fg_normalize(l + r)
 
 
 def map_to_two_generators(w: FreeWord) -> tuple:
@@ -286,9 +280,7 @@ def render_word(universe: str, u) -> str:
 
 
 def max_free_index(universe: str, u) -> int:
-    if universe == BC:
-        return 0
-    if universe == F2:
+    if universe in (BC, F2):
         return 0
     return max((it.index for it in u if isinstance(it, FreeGen)), default=0)
 

@@ -4,13 +4,16 @@ Everything here deliberately avoids the production code paths it is used
 to check: bicyclic multiplication is redone by string rewriting, free
 reduction by a fixpoint scan, the free-product moment by the literal
 two-level centered expansion, the coordinate lemma by the scan over every
-(target, candidate) pair on the images the embedding builds.
+(target, candidate) pair on the images the embedding builds, the operator
+norm by a Hermitian eigensolver instead of an SVD.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+
+import numpy as np
 
 from pqt import words as W
 from pqt.algebra import Element, GaussianRational, delta
@@ -101,6 +104,15 @@ def fg_reduce_fixpoint(letters) -> tuple:
                 i += 1
         letters = out
     return tuple(letters)
+
+
+# -- operator norm by another LAPACK driver -----------------------------------------
+
+
+def op_norm_eigh(a) -> float:
+    """||a|| = sqrt(largest eigenvalue of a^H a), from the Hermitian eigensolver."""
+    a = np.asarray(a, dtype=complex)
+    return float(np.sqrt(max(np.linalg.eigvalsh(a.conj().T @ a)[-1], 0.0)))
 
 
 # -- literal two-level moment expansion -------------------------------------------

@@ -172,7 +172,7 @@ def test_cli_golden_outputs(capsys):
 def test_cli_rep_commands(capsys):
     code, payload = run_cli(capsys, "rep-report", "--count", "3", "--dim", "32")
     assert code == 0 and len(payload["rows"]) == 3
-    assert abs(payload["rows"][1]["n"] * payload["rows"][1]["norm_an_minus_p"] - 1.0) < 1e-6
+    assert abs(payload["rows"][1]["n"] * payload["rows"][1]["norm_an_minus_p"] - 1.0) <= 1e-12
     code, payload = run_cli(capsys, "boundary-check", "--window", "3", "--dim", "32")
     assert code == 0 and payload["result"] == "pass"
 
@@ -190,6 +190,8 @@ def test_cli_usage_and_parse_errors_are_json(capsys):
     assert code == 2
     code, payload = run_cli(capsys, "moment", "--max-blocks", "2", "q t1 p t2 q q")
     assert code == 2  # the block cap is gone; moments take words of any length
+    code, payload = run_cli(capsys, "boundary-check", "--window", "-1", "--dim", "16")
+    assert code == 2 and payload["result"] == "error"
 
 
 def test_cli_resource_limits_exit_three(capsys):
@@ -199,6 +201,9 @@ def test_cli_resource_limits_exit_three(capsys):
     assert code == 3
     code, payload = run_cli(capsys, "gram", "--m", "3", "--k", "1")
     assert code == 3  # 6765 words enumerate, but their gram matrix is over budget
+    for command in ("rep-report", "boundary-check"):
+        code, payload = run_cli(capsys, command, "--dim", "2000")
+        assert code == 3 and payload["result"] == "error"  # 2000^2 cells per matrix
 
 
 def test_cli_subprocess_entry_point():

@@ -190,6 +190,14 @@ def test_fg_mul_pinned_values():
         assert W.fg_mul(w, W.fg_inverse(w)) == ()
 
 
+def test_fg_mul_matches_fixpoint_reduction():
+    rng = random.Random(34)
+    for _ in range(500):
+        u = random_word(rng, W.F2, max_len=8)
+        v = random_word(rng, W.F2, max_len=8)
+        assert W.fg_mul(u, v) == fg_reduce_fixpoint(u + v)
+
+
 def test_fg_reduction_is_confluent():
     rng = random.Random(33)
     letters = [("x", 1), ("x", -1), ("y", 1), ("y", -1)]
