@@ -223,6 +223,10 @@ def _cmd_coord(args):
 
 def _cmd_phi(args):
     el = parse_element(args.expr, W.SINF)
+    # the image of a word w has at most 2^|w| terms, one per letter choice
+    bound = sum(2 ** len(w) for w in el.terms)
+    if bound > W.DEFAULT_ENUMERATION_LIMIT:
+        raise LimitExceeded(f"image may have {bound} terms (limit {W.DEFAULT_ENUMERATION_LIMIT})")
     emb = Embedding(_gamma(args))
     return {"command": "phi", "gamma": emb.gamma.name, "result": emb.apply(el).render()}, 0
 
@@ -238,7 +242,8 @@ def _cmd_lemma_coord(args):
 
 
 def _cmd_rank(args):
-    report = injectivity_rank(args.m, args.k, _gamma(args), limit=_limit(args))
+    max_cells = None if args.force else DEFAULT_MAX_CELLS
+    report = injectivity_rank(args.m, args.k, _gamma(args), limit=_limit(args), max_cells=max_cells)
     return report.to_dict(), 0 if report.passed else 1
 
 

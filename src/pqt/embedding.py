@@ -360,7 +360,7 @@ class InverseSearchResult:
         return out
 
 
-def _candidate_words(uni: str, max_index: int, m: int, k_extra: int, block_exponent_factor: int, limit) -> list:
+def _candidate_words(uni: str, max_index: int, m: int, k_extra: int, limit) -> list:
     if uni == W.BC:
         return W.bc_elements(m)
     if uni == W.F2:
@@ -369,8 +369,8 @@ def _candidate_words(uni: str, max_index: int, m: int, k_extra: int, block_expon
     if k < 1:
         if uni == W.SINF:
             return [()]
-        return [()] + [(b,) for b in W.bc_elements(m * block_exponent_factor, include_identity=False)]
-    return W.enumerate_words(m, k, uni, block_exponent_factor=block_exponent_factor, limit=limit)
+        return [()] + [(b,) for b in W.bc_elements(m * W.DEFAULT_BLOCK_FACTOR, include_identity=False)]
+    return W.enumerate_words(m, k, uni, limit=limit)
 
 
 def inverse_search(
@@ -379,7 +379,6 @@ def inverse_search(
     m: int,
     *,
     k_extra: int = 0,
-    block_exponent_factor: int = W.DEFAULT_BLOCK_FACTOR,
     limit: int | None = W.DEFAULT_ENUMERATION_LIMIT,
 ) -> InverseSearchResult:
     """Decide exactly whether a length-bounded one-sided inverse exists.
@@ -396,7 +395,7 @@ def inverse_search(
     start = time.perf_counter()
     uni = a.universe
     max_index = max((W.max_free_index(uni, w) for w in a.support()), default=0)
-    cands = _candidate_words(uni, max_index, m, k_extra, block_exponent_factor, limit)
+    cands = _candidate_words(uni, max_index, m, k_extra, limit)
     block, rank, rank_aug = _solve_unknown_block(ElementMatrix([[a]]), side, 0, cands)
     elapsed = (time.perf_counter() - start) * 1000.0
     x = None if block is None else block[0]
@@ -526,7 +525,6 @@ def mat_inverse_search(
     m: int,
     *,
     k_extra: int = 0,
-    block_exponent_factor: int = W.DEFAULT_BLOCK_FACTOR,
     limit: int | None = W.DEFAULT_ENUMERATION_LIMIT,
 ) -> MatrixInverseResult:
     """Entrywise length-bounded search for a one-sided matrix inverse.
@@ -546,7 +544,7 @@ def mat_inverse_search(
         (W.max_free_index(uni, w) for row in a.entries for el in row for w in el.support()),
         default=0,
     )
-    cands = _candidate_words(uni, max_index, m, k_extra, block_exponent_factor, limit)
+    cands = _candidate_words(uni, max_index, m, k_extra, limit)
     solved: list = []
     for index in range(n):
         block, _, _ = _solve_unknown_block(a, side, index, cands)

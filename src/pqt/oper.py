@@ -141,6 +141,8 @@ def convergence_report(count: int, cfg: RepConfig | None = None) -> ConvergenceR
     which is 1/n up to rounding.
     """
     rep = ShiftRepresentation(cfg)
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if count > rep.cfg.max_index:
         raise ValueError(f"count {count} exceeds max_index {rep.cfg.max_index}")
     p_mat = rep.item_matrix(W.P)

@@ -179,48 +179,27 @@ def _psd_int(m_rows: list) -> tuple:
     return True, None
 
 
-def _psd_general(gram: list) -> tuple:
-    """Rational Schur-complement elimination for Hermitian matrices."""
-    idx = list(range(len(gram)))
-    M = [row[:] for row in gram]
-    processed: list = []
-    while M:
-        p = M[0][0]
-        if p.im != 0:
-            raise ValueError("gram matrix is not Hermitian (complex diagonal)")
-        if p.re < 0:
-            return False, processed + [idx[0]]
-        if p.re == 0:
-            bad = next((j for j in range(1, len(M)) if not M[0][j].is_zero()), None)
-            if bad is not None:
-                return False, processed + [idx[0], idx[bad]]
-            M = [row[1:] for row in M[1:]]
-            idx = idx[1:]
-            continue
-        size = len(M)
-        row0 = M[0]
-        newM = []
-        for i in range(1, size):
-            Mi = M[i]
-            mi0 = Mi[0]
-            newM.append([Mi[j] - mi0 * row0[j] / p for j in range(1, size)])
-        processed.append(idx[0])
-        idx = idx[1:]
-        M = newM
-    return True, None
-
-
 def psd_decide(gram: list) -> tuple:
-    """Exact PSD decision; returns (is_psd, violating principal minor indices)."""
+    """Exact PSD decision; returns (is_psd, violating principal minor indices).
+
+    A Hermitian H = A + iB is PSD iff the real symmetric [[A, -B], [B, A]]
+    is, since x*Hx = [u; v]^T [[A, -B], [B, A]] [u; v] for x = u + iv
+    (Horn and Johnson, Matrix Analysis).  A violating minor S of that
+    realification folds back to T = {i mod n : i in S}: the realification
+    of H[T, T] contains S as a principal submatrix, so H[T, T] is not PSD.
+    """
     n = len(gram)
     if n == 0:
         return True, None
-    if all(e.im == 0 for row in gram for e in row):
-        denoms = [e.re.denominator for row in gram for e in row]
-        scale = math.lcm(*denoms)
-        M = [[int(e.re * scale) for e in row] for row in gram]
-        return _psd_int(M)
-    return _psd_general(gram)
+    if any(gram[i][i].im != 0 for i in range(n)):
+        raise ValueError("gram matrix is not Hermitian (complex diagonal)")
+    M = [[e.re for e in row] for row in gram]
+    if any(e.im != 0 for row in gram for e in row):
+        B = [[e.im for e in row] for row in gram]
+        M = [a + [-b for b in bs] for a, bs in zip(M, B)] + [bs + a for a, bs in zip(M, B)]
+    scale = math.lcm(*(e.denominator for row in M for e in row))
+    psd, minor = _psd_int([[int(e * scale) for e in row] for row in M])
+    return psd, None if psd else sorted({i % n for i in minor})
 
 
 def gram_matrix(universe: str, words: list, state: FreeProductState) -> list:

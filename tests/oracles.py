@@ -5,11 +5,13 @@ to check: bicyclic multiplication is redone by string rewriting, free
 reduction by a fixpoint scan, the free-product moment by the literal
 two-level centered expansion, the coordinate lemma by the scan over every
 (target, candidate) pair on the images the embedding builds, the operator
-norm by a Hermitian eigensolver instead of an SVD.
+norm by a Hermitian eigensolver instead of an SVD, positive semidefiniteness
+by the signs of all principal minors instead of an elimination.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -282,6 +284,34 @@ def dense_solvable(rows, rhs) -> bool:
     plain = dense_rank(rows)
     augmented = dense_rank([list(r) + [v] for r, v in zip(rows, rhs)])
     return augmented == plain
+
+
+def dense_det(rows) -> GaussianRational:
+    """Determinant by textbook Gaussian elimination with row swaps, over exact scalars."""
+    m = [list(r) for r in rows]
+    det = GaussianRational(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if not m[r][col].is_zero()), None)
+        if pivot is None:
+            return GaussianRational(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det = det * m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def psd_by_principal_minors(h) -> bool:
+    """A Hermitian matrix is PSD iff every principal minor is >= 0 (Horn and Johnson, Matrix Analysis)."""
+    n = len(h)
+    return all(
+        dense_det([[h[i][j] for j in idx] for i in idx]).re >= 0
+        for size in range(1, n + 1)
+        for idx in itertools.combinations(range(n), size)
+    )
 
 
 # -- random data helpers -----------------------------------------------------------

@@ -192,6 +192,9 @@ def test_cli_usage_and_parse_errors_are_json(capsys):
     assert code == 2  # the block cap is gone; moments take words of any length
     code, payload = run_cli(capsys, "boundary-check", "--window", "-1", "--dim", "16")
     assert code == 2 and payload["result"] == "error"
+    for count in ("-3", "0"):
+        code, payload = run_cli(capsys, "rep-report", "--count", count, "--dim", "16")
+        assert code == 2 and payload["result"] == "error"
 
 
 def test_cli_resource_limits_exit_three(capsys):
@@ -204,6 +207,17 @@ def test_cli_resource_limits_exit_three(capsys):
     for command in ("rep-report", "boundary-check"):
         code, payload = run_cli(capsys, command, "--dim", "2000")
         assert code == 3 and payload["result"] == "error"  # 2000^2 cells per matrix
+    for letters in (18, 1200):
+        code, payload = run_cli(capsys, "phi", " ".join(["t1"] * letters))
+        assert code == 3 and payload["result"] == "error"  # up to 2^letters image terms
+
+
+def test_cli_rank_force_lifts_the_cell_budget(capsys, monkeypatch):
+    monkeypatch.setattr("pqt.cli.DEFAULT_MAX_CELLS", 100)
+    code, payload = run_cli(capsys, "rank", "--m", "2", "--k", "1")
+    assert code == 3 and payload["result"] == "error"
+    code, payload = run_cli(capsys, "rank", "--m", "2", "--k", "1", "--force")
+    assert code == 0 and payload["result"] == "pass"
 
 
 def test_cli_subprocess_entry_point():

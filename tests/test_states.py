@@ -21,7 +21,7 @@ from pqt.states import (
     psd_decide,
     trace_f2,
 )
-from oracles import moment_two_level, random_element, random_word, reblock
+from oracles import moment_two_level, psd_by_principal_minors, random_element, random_scalar, random_word, reblock
 
 B = W.BCElement
 T = W.t
@@ -306,6 +306,30 @@ def test_psd_decide_complex_hermitian():
     # [[1, 2i], [-2i, 1]] has a negative eigenvalue
     psd, minor = psd_decide([[one, i * 2], [-i * 2, one]])
     assert not psd and minor == [0, 1]
+    with pytest.raises(ValueError):
+        psd_decide([[two, one], [one, i]])
+
+
+@pytest.mark.parametrize("complex_ok", [False, True])
+def test_psd_decide_matches_principal_minor_oracle(complex_ok):
+    rng = random.Random(2718 + complex_ok)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            # B* B is PSD, and singular when B has fewer rows than columns
+            b = [[random_scalar(rng, complex_ok) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            G = [[sum((r[i].conjugate() * r[j] for r in b), ZERO) for j in range(n)] for i in range(n)]
+        else:
+            G = [[ZERO] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    v = random_scalar(rng, complex_ok and i != j)
+                    G[i][j], G[j][i] = v, v.conjugate()
+        psd, minor = psd_decide(G)
+        assert psd == psd_by_principal_minors(G), [[str(e) for e in row] for row in G]
+        if not psd:
+            assert minor == sorted(set(minor))
+            assert not psd_by_principal_minors([[G[i][j] for j in minor] for i in minor])
 
 
 def test_trace_pinned_values():
