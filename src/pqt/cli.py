@@ -12,7 +12,7 @@ glued to the first generator of its term with ``*``):
 Machine-readable JSON goes to stdout on every path, including errors;
 anything meant for humans goes to stderr.  Exit codes: 0 success/pass,
 1 property violated or infeasible-as-answer, 2 usage/parse error,
-3 resource limit.
+3 resource limit, 4 internal error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import json
 import re
 import sys
+import traceback
 from fractions import Fraction
 
 from .errors import ExprSyntaxError, LimitExceeded, UniverseMismatch
@@ -486,9 +487,18 @@ def _emit(payload: dict) -> None:
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(sys.argv[1:] if argv is None else argv)
+    except Exception as e:  # a defect, not a verdict: keep JSON on stdout, and not exit 1
+        _emit({"result": "error", "message": f"{type(e).__name__}: {e}"})
+        traceback.print_exc()
+        return 4
+
+
+def _main(argv: list) -> int:
     parser, table = _build()
     try:
-        argv, config = _extract_config(sys.argv[1:] if argv is None else argv)
+        argv, config = _extract_config(argv)
         if config:
             _apply_config(table, argv, config)
         args = parser.parse_args(argv)

@@ -94,9 +94,31 @@ class Embedding:
     def word_image(self, w) -> Element:
         cached = self._word_images.get(w)
         if cached is None:
-            cached = self.word_image(w[:-1]) * self.generator_image(w[-1])
+            cached = self._extend(self.word_image(w[:-1]), w[-1])
             self._word_images[w] = cached
         return cached
+
+    def _extend(self, prefix: Element, g: W.FreeGen) -> Element:
+        """prefix * generator_image(g), with the same terms in the same order.
+
+        Each prefix term (u, c) yields (u * base, c) and (u g, c * gamma_g):
+        the base letter carries weight one, so it costs no multiply, and a
+        free letter never merges at the seam.
+        """
+        weight = GaussianRational(self.gamma(g.index))
+        base = (W.Q if g.starred else W.P,)
+        letter = (g,)
+        mul = W.pw_mul
+        out: dict = {}
+        for u, c in prefix.terms.items():
+            word = mul(u, base)
+            prev = out.get(word)
+            out[word] = c if prev is None else prev + c
+            word = u + letter
+            c = c * weight
+            prev = out.get(word)
+            out[word] = c if prev is None else prev + c
+        return Element._raw(W.BCS, {u: c for u, c in out.items() if c.re or c.im})
 
     def apply(self, x: Element) -> Element:
         if x.universe != W.SINF:
@@ -120,6 +142,8 @@ class CheckReport:
     counterexample: dict | None = None
     details: dict = field(default_factory=dict)
     elapsed_ms: float = 0.0
+    # deterministic work counts; not part of to_dict(), so the JSON is unchanged
+    stats: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -145,10 +169,12 @@ def verify_support_bound(
     start = time.perf_counter()
     emb = Embedding(gamma)
     counterexample = None
-    checked = 0
+    checked = terms = 0
     for w in W.enumerate_words(m, k, W.SINF, limit=limit):
         checked += 1
-        got = emb.apply(delta(W.SINF, w)).support_max_len()
+        image = emb.word_image(w)
+        terms += len(image.terms)
+        got = image.support_max_len()
         if got > len(w):
             counterexample = {"word": W.render_word(W.SINF, w), "word_len": len(w), "support_len": got}
             break
@@ -160,6 +186,7 @@ def verify_support_bound(
         counterexample=counterexample,
         details={"words_checked": checked},
         elapsed_ms=elapsed,
+        stats={"words": checked, "image_terms": terms},
     )
 
 
@@ -184,8 +211,10 @@ def verify_coordinate_separation(
     # free words double as product words, so targets are coordinate keys
     target_index = {w: t for t, w in enumerate(targets)}
     first = None  # (target index, candidate index, coefficient) of the first violation
+    terms = 0
     for c, y in enumerate(candidates):
-        image = emb.apply(delta(W.SINF, y))
+        image = emb.word_image(y)
+        terms += len(image.terms)
         bad = [target_index[u] for u in image.terms if u != y and u in target_index]
         if len(y) == m and y not in image.terms:
             bad.append(target_index[y])
@@ -210,6 +239,7 @@ def verify_coordinate_separation(
         counterexample=counterexample,
         details={"targets": len(targets), "candidates": len(candidates), "pairs_checked": pairs},
         elapsed_ms=elapsed,
+        stats={"words": len(candidates), "image_terms": terms},
     )
 
 
@@ -290,6 +320,17 @@ def sparse_solve(rows: list, ncols: int):
 # -- rank of the embedding on a filtration stage -------------------------------
 
 
+def _triangular(w, image: Element) -> bool:
+    """w is in its image's support, and every other free word there is shorter."""
+    if w not in image.terms:
+        return False
+    n = len(w)
+    free = W.FreeGen
+    return not any(
+        len(u) >= n and u != w and all(type(x) is free for x in u) for u in image.terms
+    )
+
+
 def injectivity_rank(
     m: int,
     k: int,
@@ -298,26 +339,37 @@ def injectivity_rank(
     limit: int | None = W.DEFAULT_ENUMERATION_LIMIT,
     max_cells: int | None = DEFAULT_MAX_CELLS,
 ) -> CheckReport:
+    """Rank of the coordinate matrix (rows: the stage's basis words, columns: image support).
+
+    When every image passes ``_triangular``, the columns at the basis words,
+    ordered by length, form a triangular block with a nonzero diagonal, so
+    the rank is the dimension and nothing is eliminated.  Otherwise the
+    rank comes from exact elimination.
+    """
     start = time.perf_counter()
     emb = Embedding(gamma)
     basis = W.enumerate_words(m, k, W.SINF, limit=limit)
-    images = [emb.apply(delta(W.SINF, w)) for w in basis]
+    images = [emb.word_image(w) for w in basis]
     support: set = set()
     for image in images:
-        support.update(image.support())
-    cols = sorted(support, key=lambda u: W.word_sort_key(W.BCS, u))
-    col_of = {u: j for j, u in enumerate(cols)}
-    if max_cells is not None and len(basis) * len(cols) > max_cells:
-        raise LimitExceeded(f"coordinate matrix {len(basis)}x{len(cols)} exceeds max_cells={max_cells}")
-    rows = [{col_of[u]: c for u, c in image.terms.items()} for image in images]
-    rank = sparse_rank(rows, len(cols))
+        support.update(image.terms)
+    if max_cells is not None and len(basis) * len(support) > max_cells:
+        raise LimitExceeded(f"coordinate matrix {len(basis)}x{len(support)} exceeds max_cells={max_cells}")
+    if all(map(_triangular, basis, images)):
+        rank, pivots = len(basis), 0
+    else:
+        cols = sorted(support, key=lambda u: W.word_sort_key(W.BCS, u))
+        col_of = {u: j for j, u in enumerate(cols)}
+        rows = [{col_of[u]: c for u, c in image.terms.items()} for image in images]
+        rank = pivots = sparse_rank(rows, len(cols))
     elapsed = (time.perf_counter() - start) * 1000.0
     return CheckReport(
         check="injectivity-rank",
         params={"m": m, "k": k, "gamma": emb.gamma.name},
         result="pass" if rank == len(basis) else "fail",
-        details={"rank": rank, "dimension": len(basis), "matrix_dims": [len(basis), len(cols)]},
+        details={"rank": rank, "dimension": len(basis), "matrix_dims": [len(basis), len(support)]},
         elapsed_ms=elapsed,
+        stats={"words": len(basis), "image_terms": sum(len(image.terms) for image in images), "pivots": pivots},
     )
 
 

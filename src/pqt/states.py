@@ -187,18 +187,21 @@ def psd_decide(gram: list) -> tuple:
     (Horn and Johnson, Matrix Analysis).  A violating minor S of that
     realification folds back to T = {i mod n : i in S}: the realification
     of H[T, T] contains S as a principal submatrix, so H[T, T] is not PSD.
+    Input that is not Hermitian raises ValueError.
     """
     n = len(gram)
     if n == 0:
         return True, None
-    if any(gram[i][i].im != 0 for i in range(n)):
-        raise ValueError("gram matrix is not Hermitian (complex diagonal)")
     M = [[e.re for e in row] for row in gram]
     if any(e.im != 0 for row in gram for e in row):
         B = [[e.im for e in row] for row in gram]
         M = [a + [-b for b in bs] for a, bs in zip(M, B)] + [bs + a for a, bs in zip(M, B)]
     scale = math.lcm(*(e.denominator for row in M for e in row))
-    psd, minor = _psd_int([[int(e * scale) for e in row] for row in M])
+    K = [[int(e * scale) for e in row] for row in M]
+    # [[A, -B], [B, A]] is symmetric iff A is symmetric and B antisymmetric
+    if K != [list(col) for col in zip(*K)]:
+        raise ValueError("gram matrix is not Hermitian")
+    psd, minor = _psd_int(K)
     return psd, None if psd else sorted({i % n for i in minor})
 
 

@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the production code paths it is used
 to check: bicyclic multiplication is redone by string rewriting, free
-reduction by a fixpoint scan, the free-product moment by the literal
-two-level centered expansion, the coordinate lemma by the scan over every
-(target, candidate) pair on the images the embedding builds, the operator
-norm by a Hermitian eigensolver instead of an SVD, positive semidefiniteness
-by the signs of all principal minors instead of an elimination.
+reduction by a fixpoint scan, the embedding by expanding all 2^|w| letter
+choices, the free-product moment by the literal two-level centered
+expansion, the coordinate lemma by the scan over every (target, candidate)
+pair on the images the embedding builds, the operator norm by a Hermitian
+eigensolver instead of an SVD, positive semidefiniteness by the signs of
+all principal minors instead of an elimination.
 """
 
 from __future__ import annotations
@@ -85,6 +86,29 @@ def reblock(tokens) -> tuple:
 def pw_mul_by_rewriting(u, v) -> tuple:
     tokens = W.word_tokens(W.BCS, u) + W.word_tokens(W.BCS, v)
     return reblock(rewrite_pq(tokens))
+
+
+# -- the embedding by full expansion -------------------------------------------------
+
+
+def phi_by_expansion(w, gamma) -> dict:
+    """The image of a free word as {normal-form word: scalar}, one term per letter choice.
+
+    Letter t_n (t_n*) contributes p (q) with weight 1 or itself with weight
+    gamma(n); every one of the 2^|w| choices is reduced by string rewriting.
+    """
+    terms: dict = {}
+    for choice in itertools.product((False, True), repeat=len(w)):
+        tokens, weight = [], Fraction(1)
+        for g, free in zip(w, choice):
+            if free:
+                tokens.append(f"t{g.index}*" if g.starred else f"t{g.index}")
+                weight *= gamma(g.index)
+            else:
+                tokens.append("q" if g.starred else "p")
+        word = reblock(rewrite_pq(tokens))
+        terms[word] = terms.get(word, 0) + weight
+    return {u: GaussianRational(c) for u, c in terms.items() if c}
 
 
 # -- alternative free reduction ---------------------------------------------------

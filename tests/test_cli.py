@@ -220,6 +220,16 @@ def test_cli_rank_force_lifts_the_cell_budget(capsys, monkeypatch):
     assert code == 0 and payload["result"] == "pass"
 
 
+def test_cli_unexpected_exception_is_json_with_exit_four(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("handler defect")
+
+    monkeypatch.setattr("pqt.cli._cmd_trace", broken)
+    code, payload = run_cli(capsys, "trace", "x")
+    assert code == 4
+    assert payload == {"result": "error", "message": "RuntimeError: handler defect"}
+
+
 def test_cli_subprocess_entry_point():
     import subprocess
     import sys

@@ -21,7 +21,7 @@ from pqt.embedding import (
     verify_support_bound,
 )
 from pqt.errors import LimitExceeded
-from oracles import coordinate_separation_pairwise, random_element
+from oracles import coordinate_separation_pairwise, dense_rank, phi_by_expansion, random_element
 
 B = W.BCElement
 T = W.t
@@ -192,6 +192,70 @@ def test_injectivity_rank_values():
 def test_injectivity_rank_respects_cell_cap():
     with pytest.raises(LimitExceeded):
         injectivity_rank(3, 2, max_cells=100)
+
+
+def test_injectivity_rank_larger_stage():
+    report = injectivity_rank(4, 3, max_cells=None)
+    assert report.passed
+    assert report.details["rank"] == report.details["dimension"] == 1555
+    assert report.stats["pivots"] == 0
+
+
+@pytest.mark.parametrize("m, k", [(3, 2), (2, 3)])
+@pytest.mark.parametrize("gamma", [GAMMAS[0], GAMMAS[2]], ids=lambda g: g.name)
+def test_word_image_matches_expansion_oracle(gamma, m, k):
+    emb = Embedding(gamma)
+    for w in W.enumerate_words(m, k, W.SINF):
+        image = emb.word_image(w)
+        assert image.terms == phi_by_expansion(w, gamma), w
+        if w:  # the same terms, in the same order, as the Element product
+            product = emb.word_image(w[:-1]) * emb.generator_image(w[-1])
+            assert list(image.terms.items()) == list(product.terms.items())
+
+
+@pytest.mark.parametrize("m, k", [(3, 2), (2, 3)])
+def test_verifier_work_counts(m, k):
+    gamma = GAMMAS[0]
+    basis = W.enumerate_words(m, k, W.SINF)
+    words = sum((2 * k) ** i for i in range(m + 1))
+    terms = sum(len(phi_by_expansion(w, gamma)) for w in basis)
+    for verifier in (verify_support_bound, verify_coordinate_separation, injectivity_rank):
+        report = verifier(m, k, gamma)
+        assert report.passed
+        assert report.stats["words"] == words == len(basis)
+        assert report.stats["image_terms"] == terms
+    assert report.stats["pivots"] == 0
+
+
+@pytest.mark.parametrize(
+    "target, tamper, expected_rank",
+    [
+        # w loses its own coordinate
+        ((T(1), T(2)), lambda emb, w, image: image - delta(W.BCS, w).scale(image.coordinate(w)), 21),
+        # a block-free word as long as w enters its image
+        ((T(1), T(2)), lambda emb, w, image: image + delta(W.BCS, (T(2), T(1))).scale(3), 21),
+        # t1 gets the image of t2; images extend their prefix's, so the
+        # five words t1, t1 x repeat the rows of t2, t2 x
+        ((T(1),), lambda emb, w, image: emb.word_image((T(2),)), 16),
+    ],
+    ids=["lost-self", "equal-length-free-word", "repeated-image"],
+)
+def test_injectivity_rank_falls_back_to_elimination(monkeypatch, target, tamper, expected_rank):
+    word_image = Embedding.word_image
+
+    def tampered(self, w):
+        image = word_image(self, w)
+        return tamper(self, w, image) if w == target else image
+
+    monkeypatch.setattr(Embedding, "word_image", tampered)
+    report = injectivity_rank(2, 2)
+    emb = Embedding()
+    images = [emb.word_image(w) for w in W.enumerate_words(2, 2, W.SINF)]
+    cols = sorted({u for image in images for u in image.terms}, key=lambda u: W.word_sort_key(W.BCS, u))
+    rank = dense_rank([[image.coordinate(u) for u in cols] for image in images])
+    assert report.details["rank"] == report.stats["pivots"] == rank == expected_rank
+    assert report.details["matrix_dims"] == [21, len(cols)]
+    assert report.passed == (rank == 21)
 
 
 def test_generator_recovery():

@@ -308,6 +308,12 @@ def test_psd_decide_complex_hermitian():
     assert not psd and minor == [0, 1]
     with pytest.raises(ValueError):
         psd_decide([[two, one], [one, i]])
+    # not Hermitian: its symmetric part [[1, 5/2], [5/2, 1]] is indefinite
+    with pytest.raises(ValueError):
+        psd_decide([[one, GaussianRational(5)], [GaussianRational(0), one]])
+    # i on both sides of the diagonal: B is symmetric, not antisymmetric
+    with pytest.raises(ValueError):
+        psd_decide([[two, i], [i, two]])
 
 
 @pytest.mark.parametrize("complex_ok", [False, True])
