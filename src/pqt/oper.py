@@ -63,6 +63,7 @@ class ShiftRepresentation:
             j = np.arange(d, dtype=float)[:, None]
             k = np.arange(d, dtype=float)[None, :]
             base = (np.cos(n + 3.0 * j + 7.0 * k) + 1j * np.sin(2.0 * n + 5.0 * j + 11.0 * k)) / math.sqrt(d)
+            base.flags.writeable = False  # handed out as is, so callers cannot corrupt the cache
             self._free[n] = base
         return base.conj().T if starred else base
 
@@ -78,11 +79,16 @@ class ShiftRepresentation:
         return self.free_matrix(item.index, item.starred)
 
     def word_matrix(self, w) -> np.ndarray:
-        """Product word (or free word, or a lone bicyclic element) to matrix."""
+        """Product word (or free word, or a lone bicyclic element) to matrix.
+
+        A one-letter free word returns the cached, read-only generator matrix.
+        """
         if isinstance(w, W.BCElement):
             return self.item_matrix(w)
-        out = np.eye(self.cfg.dim, dtype=complex)
-        for item in w:
+        if not w:
+            return np.eye(self.cfg.dim, dtype=complex)
+        out = self.item_matrix(w[0])
+        for item in w[1:]:
             out = out @ self.item_matrix(item)
         return out
 

@@ -94,6 +94,23 @@ def bc_moment(x: W.BCElement) -> GaussianRational:
     return BC_STATE.moment(x)
 
 
+def _collapse(w) -> tuple:
+    """(free letters of w in order, product of w's bicyclic items).
+
+    A lone bicyclic element (a bc word) is its own block, with no letters.
+    """
+    if isinstance(w, W.BCElement):
+        return [], w
+    letters: list = []
+    collapsed = W.BC_IDENTITY
+    for it in w:
+        if isinstance(it, W.BCElement):
+            collapsed = W.bc_mul(collapsed, it)
+        else:
+            letters.append(it)
+    return letters, collapsed
+
+
 class FreeProductState:
     """Moment functional on bc, sinf and bcs elements, with memoisation.
 
@@ -116,19 +133,10 @@ class FreeProductState:
     def word_moment(self, w) -> GaussianRational:
         cached = self._cache.get(w)
         if cached is None:
-            cached = GaussianRational(self._word_fraction((w,) if isinstance(w, W.BCElement) else w))
+            letters, collapsed = _collapse(w)
+            cached = GaussianRational(self.cfg.s_state.moment_fraction(letters) * BC_STATE.moment_fraction(collapsed))
             self._cache[w] = cached
         return cached
-
-    def _word_fraction(self, w) -> Fraction:
-        letters: list = []
-        collapsed = W.BC_IDENTITY
-        for it in w:
-            if isinstance(it, W.BCElement):
-                collapsed = W.bc_mul(collapsed, it)
-            else:
-                letters.append(it)
-        return self.cfg.s_state.moment_fraction(letters) * BC_STATE.moment_fraction(collapsed)
 
 
 def free_moment(x: Element, cfg: StateConfig | None = None) -> GaussianRational:
@@ -228,6 +236,7 @@ class GramReport:
     psd: bool
     violating_minor: list | None = None
     elapsed_ms: float = 0.0
+    stats: dict = field(default_factory=dict)  # words (n) and blocks (size of K); not in to_dict()
 
     @property
     def passed(self) -> bool:
@@ -247,14 +256,47 @@ class GramReport:
         return out
 
 
+def _block_gram_decide(words: list, s_state: Character) -> tuple:
+    """PSD decision of a state Gram on the distinct collapsed blocks of its words.
+
+    With d_i = chi(free letters of w_i) and c_i the collapse of w_i, the
+    closed form gives G[i][j] = d_i d_j mu1(c_i* c_j), so G = D S K S^T D
+    for D = diag(d_i), S picking each word's block, and K the Gram of mu1
+    on the distinct blocks c of the words with d != 0.  By congruence
+    (Horn and Johnson, Matrix Analysis, 4.5) G is PSD iff that K is.  A
+    violating minor of K maps to the first kept word of each block: G on
+    those words is D_r K_sub D_r with D_r invertible, so it violates too.
+    Returns (is_psd, violating minor of G or None, number of blocks).
+    """
+    first: dict = {}  # block -> index of its first kept word, in first-appearance order
+    for i, w in enumerate(words):
+        letters, block = _collapse(w)
+        if s_state.moment_fraction(letters) != 0:
+            first.setdefault(block, i)
+    blocks = list(first)
+    K = [[GaussianRational(BC_STATE.moment_fraction(W.bc_mul(W.bc_star(ci), cj))) for cj in blocks] for ci in blocks]
+    psd, minor = psd_decide(K)
+    return psd, None if psd else sorted(first[blocks[i]] for i in minor), len(blocks)
+
+
 def gram_psd_check(universe: str, words: list, cfg: StateConfig | None = None) -> GramReport:
-    """Exact positivity check of the state on span{delta_w : w in words}."""
+    """Exact positivity check of the state on span{delta_w : w in words}.
+
+    On bc, sinf and bcs the decision is taken on the distinct collapsed
+    blocks (``_block_gram_decide``), and no n x n matrix is built; on f2
+    the trace's Gram is built and eliminated.
+    """
+    if universe not in W.UNIVERSES:
+        raise ValueError(f"unknown universe {universe!r}")
     if len(set(words)) != len(words):
         raise ValueError("gram words must be pairwise distinct")
     start = time.perf_counter()
     state = FreeProductState(cfg)
-    G = gram_matrix(universe, words, state)
-    psd, minor = psd_decide(G)
+    stats = {"words": len(words)}
+    if universe == W.F2:
+        psd, minor = psd_decide(gram_matrix(universe, words, state))
+    else:
+        psd, minor, stats["blocks"] = _block_gram_decide(words, state.cfg.s_state)
     elapsed = (time.perf_counter() - start) * 1000.0
     return GramReport(
         universe=universe,
@@ -263,6 +305,7 @@ def gram_psd_check(universe: str, words: list, cfg: StateConfig | None = None) -
         psd=psd,
         violating_minor=minor,
         elapsed_ms=elapsed,
+        stats=stats,
     )
 
 

@@ -7,7 +7,8 @@ choices, the free-product moment by the literal two-level centered
 expansion, the coordinate lemma by the scan over every (target, candidate)
 pair on the images the embedding builds, the operator norm by a Hermitian
 eigensolver instead of an SVD, positive semidefiniteness by the signs of
-all principal minors instead of an elimination.
+all principal minors instead of an elimination, and the collapsed blocks
+of a state Gram by rewriting the word's bicyclic letters.
 """
 
 from __future__ import annotations
@@ -243,6 +244,39 @@ def _centered_product_moment(kept, blocks, mus, cfg) -> Fraction:
         word = _blocks_word(_oracle_merge(chosen))
         total += scalar * moment_two_level(word, cfg)
     return total
+
+
+# -- the collapsed-block factorisation of a state Gram by rewriting -----------------
+
+
+def _mu1_by_rewriting(tokens) -> Fraction:
+    rest = rewrite_pq(tokens)
+    a = rest.count("q")
+    return Fraction(1, 2**a) if 2 * a == len(rest) else Fraction(0)
+
+
+def block_gram_factors(universe, words, z) -> tuple:
+    """(d, s, K) with state Gram[i][j] = d[i] d[j] K[s[i]][s[j]].
+
+    d[i] is z to the number of free letters of w_i, s[i] the index of its
+    block (its p/q tokens rewritten to q^a p^b) in first-appearance order,
+    and K the dyadic shift state's Gram on the distinct blocks.
+    """
+    d, s, index = [], [], {}
+    for w in words:
+        tokens = W.word_tokens(universe, w)
+        block = tuple(rewrite_pq([tok for tok in tokens if tok in ("p", "q")]))
+        d.append(Fraction(z) ** sum(tok.startswith("t") for tok in tokens))
+        s.append(index.setdefault(block, len(index)))
+    stars = [[{"p": "q", "q": "p"}[tok] for tok in reversed(c)] for c in index]
+    K = [[_mu1_by_rewriting(ci + list(cj)) for cj in index] for ci in stars]
+    return d, s, K
+
+
+def distinct_kept_blocks(universe, words, z) -> int:
+    """Distinct blocks among the words whose D entry z^(free letters) is nonzero."""
+    d, s, _ = block_gram_factors(universe, words, z)
+    return len({b for di, b in zip(d, s) if di != 0})
 
 
 # -- pairwise coordinate scan ------------------------------------------------------

@@ -190,6 +190,27 @@ def test_seam_cancellation_defect_is_top_corner_mass(rep):
     assert gap.max() <= 2.0 / math.sqrt(d)  # but only truncation-sized
 
 
+def test_word_matrix_equals_identity_started_product(rep):
+    # starting from the first item instead of the identity changes no bit
+    rng = random.Random(403)
+    words = W.enumerate_words(3, 2, W.BCS)
+    for n in range(4):
+        group = [w for w in words if len(w) == n]
+        for w in rng.sample(group, min(25, len(group))):
+            expected = np.eye(rep.dim, dtype=complex)
+            for item in w:
+                expected = expected @ rep.item_matrix(item)
+            assert np.array_equal(rep.word_matrix(w), expected), W.render_word(W.BCS, w)
+
+
+def test_cached_free_matrices_are_read_only(rep):
+    for n in (1, 2):
+        with pytest.raises(ValueError):
+            rep.free_matrix(n)[0, 0] = 0
+        with pytest.raises(ValueError):
+            rep.word_matrix((T(n),))[0, 0] = 0
+
+
 def test_element_matrix_application(rep):
     el = delta(W.BCS, (W.P,)) + delta(W.BCS, (T(1),)).scale(2)
     mat = rep.matrix(el)

@@ -21,7 +21,16 @@ from pqt.states import (
     psd_decide,
     trace_f2,
 )
-from oracles import moment_two_level, psd_by_principal_minors, random_element, random_scalar, random_word, reblock
+from oracles import (
+    block_gram_factors,
+    distinct_kept_blocks,
+    moment_two_level,
+    psd_by_principal_minors,
+    random_element,
+    random_scalar,
+    random_word,
+    reblock,
+)
 
 B = W.BCElement
 T = W.t
@@ -248,6 +257,65 @@ def test_component_states_are_positive_on_their_own_algebras():
 def test_gram_rejects_duplicate_words():
     with pytest.raises(ValueError):
         gram_psd_check(W.BC, [W.Q, W.Q])
+
+
+GRAM_STATES = [StateConfig(), StateConfig(s_state=Character(Fraction(-3, 5))), VACUUM]
+GRAM_STATE_IDS = ["z=1/2", "z=-3/5", "vacuum"]
+GRAM_LISTS = {
+    "bc": (W.BC, W.bc_elements(4)),
+    "sinf": (W.SINF, W.enumerate_words(2, 2, W.SINF)),
+    "bcs": (W.BCS, W.enumerate_words(2, 1, W.BCS)),
+}
+BCS_264 = W.enumerate_words(2, 2, W.BCS)
+
+
+@pytest.mark.parametrize("cfg", GRAM_STATES, ids=GRAM_STATE_IDS)
+@pytest.mark.parametrize("name", list(GRAM_LISTS))
+def test_gram_factors_through_collapsed_blocks(name, cfg):
+    # G = D S K S^T D, entry for entry, with D, S and K built by rewriting
+    universe, words = GRAM_LISTS[name]
+    d, s, K = block_gram_factors(universe, words, cfg.s_state.z)
+    G = gram_matrix(universe, words, FreeProductState(cfg))
+    for i in range(len(words)):
+        for j in range(len(words)):
+            assert G[i][j] == GaussianRational(d[i] * d[j] * K[s[i]][s[j]]), (i, j)
+
+
+@pytest.mark.parametrize("cfg", GRAM_STATES, ids=GRAM_STATE_IDS)
+@pytest.mark.parametrize("name", list(GRAM_LISTS) + ["bcs-264"])
+def test_gram_psd_check_matches_full_elimination(name, cfg):
+    universe, words = GRAM_LISTS[name] if name in GRAM_LISTS else (W.BCS, BCS_264)
+    report = gram_psd_check(universe, words, cfg)
+    assert report.psd == psd_decide(gram_matrix(universe, words, FreeProductState(cfg)))[0]
+    assert report.violating_minor is None
+    blocks = distinct_kept_blocks(universe, words, cfg.s_state.z)
+    assert report.stats == {"words": len(words), "blocks": blocks}
+    assert "stats" not in report.to_dict()
+    if name == "bcs-264":
+        assert blocks == 28
+
+
+def _signed_dyadic(self, x):
+    # [a == b] (-1)^a: Hermitian, but not positive (K on {e, p} is diag(1, -1))
+    return Fraction((-1) ** x.a) if x.a == x.b else Fraction(0)
+
+
+@pytest.mark.parametrize("cfg", GRAM_STATES, ids=GRAM_STATE_IDS)
+@pytest.mark.parametrize(
+    "universe, words",
+    [(W.BC, W.bc_elements(2)), (W.BCS, W.enumerate_words(1, 1, W.BCS)), (W.BCS, [(T(1), W.P), (), (W.P,)])],
+    ids=["bc", "bcs", "bcs-free-letter-first"],
+)
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_gram_violating_minor_maps_back_to_words(monkeypatch, universe, words, cfg, reverse):
+    monkeypatch.setattr(DyadicShiftState, "moment_fraction", _signed_dyadic)
+    words = words[::-1] if reverse else words
+    report = gram_psd_check(universe, words, cfg)
+    G = gram_matrix(universe, words, FreeProductState(cfg))
+    assert not report.psd and not psd_decide(G)[0]
+    minor = report.violating_minor
+    assert minor and minor == sorted(set(minor)) and report.to_dict()["violating_minor"] == minor
+    assert not psd_by_principal_minors([[G[i][j] for j in minor] for i in minor])
 
 
 def test_psd_decide_failure_witnesses():
