@@ -10,6 +10,7 @@ from pqt import words as W
 from pqt.algebra import delta, unit
 from pqt.errors import UniverseMismatch
 from pqt.oper import (
+    SKETCH_RANK,
     RepConfig,
     ShiftRepresentation,
     boundary_exactness_check,
@@ -75,6 +76,103 @@ def test_op_norm_matches_eigh_oracle(rep):
         a = rep.matrix(random_element(rng, W.BCS, max_len=3, max_index=3, max_exp=2))
         ref = op_norm_eigh(a)
         assert abs(op_norm(a).value - ref) <= 1e-12 * ref
+
+
+def _sketch_families(rep, step):
+    """t_n, t_n* and the convergence differences for every step-th n <= 64, and
+    sums of up to four free words (all t_n share one 4-dimensional range)."""
+    p_mat = rep.item_matrix(W.P)
+    yield "t1 + ... + t6", sum(rep.free_matrix(n) for n in range(1, 7))
+    for n in range(1, 65, step):
+        t_n = rep.free_matrix(n)
+        yield f"t{n}", t_n
+        yield f"t{n}*", rep.free_matrix(n, True)
+        yield f"a{n} - p", (p_mat + gamma_from_rep(n, rep) * t_n) - p_mat
+    rng = random.Random(404)
+    for _ in range(12):
+        words = [tuple(T(rng.randint(1, 64), rng.random() < 0.5) for _ in range(rng.randint(1, 2))) for _ in range(4)]
+        coeffs = [complex(rng.randint(-4, 4) or 1, rng.randint(-2, 2)) / rng.randint(1, 4) for _ in words]
+        k = rng.randint(1, 4)
+        yield str(words[:k]), sum(c * rep.word_matrix(w) for c, w in zip(coeffs[:k], words[:k]))
+
+
+@pytest.mark.parametrize("dim,step", [(64, 1), (256, 1), (512, 7)])
+def test_op_norm_sketch_path_is_certified_and_exact(dim, step):
+    rep = ShiftRepresentation(RepConfig(dim=dim))
+    for name, a in _sketch_families(rep, step):
+        res = op_norm(a)
+        assert res.residual is not None, name
+        assert res.residual <= dim * np.finfo(float).eps * np.linalg.norm(a), name
+        for ref in (op_norm_eigh(a), float(np.linalg.svd(a, compute_uv=False)[0])):
+            assert abs(res.value - ref) <= 1e-13 * ref, name
+
+
+def test_op_norm_fallback_path_is_the_svd(rep):
+    d = rep.dim
+    full = [
+        np.eye(d) - rep.item_matrix(B(24, 24)),  # the projection onto e_0..e_23: rank 24 > SKETCH_RANK
+        rep.backward_shift + rep.free_matrix(1),
+        3.0 * np.eye(d),
+        np.eye(d),
+    ]
+    assert np.linalg.matrix_rank(full[0]) == 24 > SKETCH_RANK
+    for a in full:
+        res = op_norm(a)
+        assert res.residual is None and res.iterations == 1
+        assert res.value == float(np.linalg.svd(a, compute_uv=False)[0])
+    # below 2 * SKETCH_RANK rows only the SVD runs, whatever the rank
+    small = ShiftRepresentation(RepConfig(dim=2 * SKETCH_RANK - 1))
+    assert op_norm(small.free_matrix(1)).residual is None
+    big = ShiftRepresentation(RepConfig(dim=2 * SKETCH_RANK))
+    assert op_norm(big.free_matrix(1)).residual is not None
+
+
+def test_op_norm_is_bitwise_deterministic():
+    def bits(rep):
+        mats = [
+            rep.free_matrix(3),
+            rep.free_matrix(5, True),
+            rep.free_matrix(2) + 0.25 * rep.free_matrix(7, True),
+            rep.backward_shift + rep.free_matrix(1),  # the SVD path
+        ]
+        out = []
+        for a in mats:
+            res = op_norm(a)
+            out.append((res.value.hex(), None if res.residual is None else res.residual.hex()))
+        return out
+
+    first = bits(ShiftRepresentation(CFG))
+    assert bits(ShiftRepresentation(CFG)) == first
+    rep = ShiftRepresentation(CFG)
+    assert bits(rep) == bits(rep) == first
+
+
+def test_op_norm_rejects_non_matrices_and_non_finite_input():
+    for a in (np.array([3.0, 4.0]), np.array(5.0), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            op_norm(a)
+    a = ShiftRepresentation(CFG).free_matrix(1).copy()
+    a[0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        op_norm(a)
+
+
+@pytest.mark.parametrize("dim", [64, 256])
+def test_convergence_stats_recount(dim):
+    cfg = RepConfig(dim=dim, max_index=12)
+    report = convergence_report(12, cfg)
+    rep = ShiftRepresentation(cfg)
+    p_mat = rep.item_matrix(W.P)
+    residuals = []
+    for row in report.rows:
+        t_n = rep.free_matrix(row.n)
+        results = [op_norm(t_n), op_norm((p_mat + row.gamma * t_n) - p_mat)]
+        assert row.gamma == 1.0 / (row.n * results[0].value) == gamma_from_rep(row.n, rep)
+        assert row.norm_diff == results[1].value
+        residuals += [res.residual for res in results if res.residual is not None]
+    assert report.stats == {"norms": 24, "sketched": len(residuals), "residual_max": max(residuals, default=0.0)}
+    assert report.stats["sketched"] == 24
+    assert "stats" not in report.to_dict()
 
 
 def test_free_matrix_fill_is_deterministic():
