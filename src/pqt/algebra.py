@@ -126,11 +126,26 @@ I = GaussianRational(0, 1)
 _NORMAL_FORM = {W.BCS: W.normalize_items, W.F2: W.fg_normalize}
 
 
+def _collect(pairs: list) -> dict:
+    """Sum (word, scalar) pairs into a term dict: the one sparse-sum kernel.
+
+    Coincident words add, words whose sum is zero drop, and the others
+    keep the order in which they first appear.
+    """
+    out: dict = {}
+    get = out.get
+    for word, c in pairs:
+        prev = get(word)
+        out[word] = c if prev is None else prev + c
+    return {w: c for w, c in out.items() if c.re or c.im}
+
+
 class Element:
     """Finitely supported word -> scalar map in a fixed universe.
 
-    The constructor folds every key into normal form and adds the
-    coefficients of keys that fold to the same word.
+    The constructor rejects keys that are not words of the universe, folds
+    every key into normal form and adds the coefficients of keys that fold
+    to the same word.
     """
 
     __slots__ = ("universe", "terms")
@@ -138,17 +153,13 @@ class Element:
     def __init__(self, universe: str, terms: Mapping | None = None):
         if universe not in W.UNIVERSES:
             raise ValueError(f"unknown universe {universe!r}")
+        terms = terms or {}
+        for word in terms:
+            if not W.is_word(universe, word):
+                raise ValueError(f"{word!r} is not a word of universe {universe!r}")
+        normal = _NORMAL_FORM.get(universe, lambda w: w)
         self.universe = universe
-        normal = _NORMAL_FORM.get(universe)
-        clean: dict = {}
-        if terms:
-            for word, coeff in terms.items():
-                coeff = _coerce(coeff)
-                if normal is not None:
-                    word = normal(word)
-                prev = clean.get(word)
-                clean[word] = coeff if prev is None else prev + coeff
-        self.terms = {w: c for w, c in clean.items() if not c.is_zero()}
+        self.terms = _collect([(normal(w), _coerce(c)) for w, c in terms.items()])
 
     @classmethod
     def _raw(cls, universe: str, terms: dict) -> "Element":
@@ -168,27 +179,11 @@ class Element:
 
     def __add__(self, other):
         self._require_same(other)
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            prev = terms.get(word)
-            s = coeff if prev is None else prev + coeff
-            if s.re or s.im:
-                terms[word] = s
-            else:
-                terms.pop(word, None)
-        return Element._raw(self.universe, terms)
+        return Element._raw(self.universe, _collect([*self.terms.items(), *other.terms.items()]))
 
     def __sub__(self, other):
         self._require_same(other)
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            prev = terms.get(word)
-            s = -coeff if prev is None else prev - coeff
-            if s.re or s.im:
-                terms[word] = s
-            else:
-                terms.pop(word, None)
-        return Element._raw(self.universe, terms)
+        return Element._raw(self.universe, _collect([*self.terms.items(), *[(w, -c) for w, c in other.terms.items()]]))
 
     def __neg__(self):
         return Element._raw(self.universe, {w: -c for w, c in self.terms.items()})
@@ -199,16 +194,10 @@ class Element:
         self._require_same(other)
         uni = self.universe
         mul = W.word_mul
-        out: dict = {}
-        for wu, cu in self.terms.items():
-            for wv, cv in other.terms.items():
-                word = mul(uni, wu, wv)
-                c = cu * cv
-                prev = out.get(word)
-                if prev is not None:
-                    c = prev + c
-                out[word] = c
-        return Element._raw(uni, {w: c for w, c in out.items() if c.re or c.im})
+        other_terms = other.terms.items()
+        return Element._raw(
+            uni, _collect([(mul(uni, wu, wv), cu * cv) for wu, cu in self.terms.items() for wv, cv in other_terms])
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -278,15 +267,10 @@ def linear_combine(pairs: Iterable) -> Element:
     if not pairs:
         raise ValueError("linear_combine needs at least one pair")
     universe = pairs[0][1].universe
-    terms: dict = {}
+    scaled: list = []
     for scalar, el in pairs:
         if el.universe != universe:
             raise UniverseMismatch(f"cannot combine {universe!r} with {el.universe!r}")
         scalar = _coerce(scalar)
-        for word, coeff in el.terms.items():
-            s = terms.get(word, ZERO) + scalar * coeff
-            if s.is_zero():
-                terms.pop(word, None)
-            else:
-                terms[word] = s
-    return Element(universe, terms)
+        scaled += [(word, scalar * coeff) for word, coeff in el.terms.items()]
+    return Element._raw(universe, _collect(scaled))

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import ExprSyntaxError, LimitExceeded, UniverseMismatch
 from . import words as W
-from .algebra import Element, GaussianRational, ONE, delta
+from .algebra import Element, GaussianRational, ONE, _collect
 from .embedding import (
     DEFAULT_MAX_CELLS,
     Embedding,
@@ -136,7 +136,7 @@ def parse_element(text: str, universe: str) -> Element:
     if not chunks:
         raise ExprSyntaxError("empty expression", 0)
 
-    out = Element(universe)
+    pairs: list = []
     i = 0
     sign = 1
     first = True
@@ -179,8 +179,8 @@ def parse_element(text: str, universe: str) -> Element:
             i += 1
 
         word = W.identity_word(universe) if not gens else _build_word(gens, universe)
-        out = out + delta(universe, word).scale(scalar * sign)
-    return out
+        pairs.append((word, scalar * sign))
+    return Element._raw(universe, _collect(pairs))
 
 
 # -- command handlers -----------------------------------------------------------

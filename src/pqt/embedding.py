@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import LimitExceeded, UniverseMismatch
 from . import words as W
-from .algebra import Element, GaussianRational, ONE, ZERO, delta, unit, zero
+from .algebra import Element, GaussianRational, ONE, ZERO, _collect, delta, unit, zero
 
 DEFAULT_MAX_CELLS = 2_000_000
 _RHS = -1  # sentinel column id for augmented systems
@@ -109,29 +109,18 @@ class Embedding:
         base = (W.Q if g.starred else W.P,)
         letter = (g,)
         mul = W.pw_mul
-        out: dict = {}
+        pairs: list = []
         for u, c in prefix.terms.items():
-            word = mul(u, base)
-            prev = out.get(word)
-            out[word] = c if prev is None else prev + c
-            word = u + letter
-            c = c * weight
-            prev = out.get(word)
-            out[word] = c if prev is None else prev + c
-        return Element._raw(W.BCS, {u: c for u, c in out.items() if c.re or c.im})
+            pairs += ((mul(u, base), c), (u + letter, c * weight))
+        return Element._raw(W.BCS, _collect(pairs))
 
     def apply(self, x: Element) -> Element:
         if x.universe != W.SINF:
             raise UniverseMismatch(f"embedding domain is {W.SINF!r}, got {x.universe!r}")
-        acc: dict = {}
-        for word, coeff in x.terms.items():
-            for w, c in self.word_image(word).terms.items():
-                cc = coeff * c
-                prev = acc.get(w)
-                if prev is not None:
-                    cc = prev + cc
-                acc[w] = cc
-        return Element._raw(W.BCS, {w: c for w, c in acc.items() if c.re or c.im})
+        image = self.word_image
+        return Element._raw(
+            W.BCS, _collect([(w, coeff * c) for word, coeff in x.terms.items() for w, c in image(word).terms.items()])
+        )
 
 
 @dataclass
@@ -344,7 +333,8 @@ def injectivity_rank(
     When every image passes ``_triangular``, the columns at the basis words,
     ordered by length, form a triangular block with a nonzero diagonal, so
     the rank is the dimension and nothing is eliminated.  Otherwise the
-    rank comes from exact elimination.
+    rank comes from exact elimination, and only that fallback, which
+    builds the matrix, is held to ``max_cells``.
     """
     start = time.perf_counter()
     emb = Embedding(gamma)
@@ -353,11 +343,11 @@ def injectivity_rank(
     support: set = set()
     for image in images:
         support.update(image.terms)
-    if max_cells is not None and len(basis) * len(support) > max_cells:
-        raise LimitExceeded(f"coordinate matrix {len(basis)}x{len(support)} exceeds max_cells={max_cells}")
     if all(map(_triangular, basis, images)):
         rank, pivots = len(basis), 0
     else:
+        if max_cells is not None and len(basis) * len(support) > max_cells:
+            raise LimitExceeded(f"coordinate matrix {len(basis)}x{len(support)} exceeds max_cells={max_cells}")
         cols = sorted(support, key=lambda u: W.word_sort_key(W.BCS, u))
         col_of = {u: j for j, u in enumerate(cols)}
         rows = [{col_of[u]: c for u, c in image.terms.items()} for image in images]

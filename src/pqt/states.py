@@ -112,15 +112,14 @@ def _collapse(w) -> tuple:
 
 
 class FreeProductState:
-    """Moment functional on bc, sinf and bcs elements, with memoisation.
+    """Moment functional on bc, sinf and bcs elements.
 
-    The cache maps words to their moments; inserts are idempotent, so
-    concurrent use only has to keep individual reads and writes atomic.
+    Each word moment is the closed form, one pass over the word, so
+    nothing is memoised.
     """
 
     def __init__(self, cfg: StateConfig | None = None):
         self.cfg = cfg if cfg is not None else StateConfig()
-        self._cache: dict = {(): ONE}
 
     def moment(self, x: Element) -> GaussianRational:
         if x.universe == W.F2:
@@ -131,12 +130,8 @@ class FreeProductState:
         return total
 
     def word_moment(self, w) -> GaussianRational:
-        cached = self._cache.get(w)
-        if cached is None:
-            letters, collapsed = _collapse(w)
-            cached = GaussianRational(self.cfg.s_state.moment_fraction(letters) * BC_STATE.moment_fraction(collapsed))
-            self._cache[w] = cached
-        return cached
+        letters, collapsed = _collapse(w)
+        return GaussianRational(self.cfg.s_state.moment_fraction(letters) * BC_STATE.moment_fraction(collapsed))
 
 
 def free_moment(x: Element, cfg: StateConfig | None = None) -> GaussianRational:

@@ -227,6 +227,27 @@ def word_star(universe: str, u):
     raise ValueError(f"unknown universe {universe!r}")
 
 
+def _is_block(x) -> bool:
+    return type(x) is BCElement and x.a >= 0 and x.b >= 0
+
+
+def _is_gen(x) -> bool:
+    return type(x) is FreeGen and x.index >= 1
+
+
+def is_word(universe: str, u) -> bool:
+    """Whether u spells a word of the universe; bcs and f2 spellings may be unreduced."""
+    if universe == BC:
+        return _is_block(u)
+    if type(u) is not tuple:
+        return False
+    if universe == SINF:
+        return all(map(_is_gen, u))
+    if universe == BCS:
+        return all(_is_gen(x) or _is_block(x) for x in u)
+    return all(x in _F2_RANK for x in u)
+
+
 def word_len(universe: str, u) -> int:
     if universe == BC:
         return 0 if u.is_identity() else 1

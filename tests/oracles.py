@@ -3,12 +3,14 @@
 Everything here deliberately avoids the production code paths it is used
 to check: bicyclic multiplication is redone by string rewriting, free
 reduction by a fixpoint scan, the embedding by expanding all 2^|w| letter
-choices, the free-product moment by the literal two-level centered
-expansion, the coordinate lemma by the scan over every (target, candidate)
-pair on the images the embedding builds, the operator norm by a Hermitian
-eigensolver instead of an SVD, positive semidefiniteness by the signs of
-all principal minors instead of an elimination, and the collapsed blocks
-of a state Gram by rewriting the word's bicyclic letters.
+choices, element sums and products by summing each distinct word's
+coefficient over plain Fraction pairs, the free-product moment by the
+literal two-level centered expansion, the coordinate lemma by the scan
+over every (target, candidate) pair on the images the embedding builds,
+the operator norm by a Hermitian eigensolver instead of an SVD, positive
+semidefiniteness by the signs of all principal minors instead of an
+elimination, and the collapsed blocks of a state Gram by rewriting the
+word's bicyclic letters.
 """
 
 from __future__ import annotations
@@ -110,6 +112,37 @@ def phi_by_expansion(w, gamma) -> dict:
         word = reblock(rewrite_pq(tokens))
         terms[word] = terms.get(word, 0) + weight
     return {u: GaussianRational(c) for u, c in terms.items() if c}
+
+
+# -- element arithmetic by expansion, on plain {bcs word: (re, im)} dicts ------
+
+
+def collect_by_expansion(pairs) -> dict:
+    """Sum (item sequence, (re, im)) pairs into {normal-form word: (re, im)}.
+
+    Each item sequence is folded by string rewriting. The distinct words are
+    listed in the order they first appear; each one's coefficient is then
+    summed over the whole list, and words that sum to zero are left out.
+    """
+    pairs = [(reblock(rewrite_pq(W.word_tokens(W.BCS, w))), c) for w, c in pairs]
+    out = {}
+    for word in dict.fromkeys(w for w, _ in pairs):
+        re = sum((c[0] for w, c in pairs if w == word), Fraction(0))
+        im = sum((c[1] for w, c in pairs if w == word), Fraction(0))
+        if re or im:
+            out[word] = (re, im)
+    return out
+
+
+def complex_product(a, b) -> tuple:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def product_by_expansion(x: dict, y: dict) -> dict:
+    """x * y: every pair of terms, the words multiplied by rewriting."""
+    return collect_by_expansion(
+        (pw_mul_by_rewriting(u, v), complex_product(a, b)) for u, a in x.items() for v, b in y.items()
+    )
 
 
 # -- alternative free reduction ---------------------------------------------------

@@ -166,6 +166,16 @@ def test_render_sorted_by_word_order():
     assert x.render() == "1*e + 1*t2 + 1/2*p t2"
 
 
+@pytest.mark.parametrize(
+    "universe, key",
+    [(W.BC, ()), (W.SINF, (W.P,)), (W.BCS, (("x", 1),)), (W.F2, (T(1),))],
+    ids=W.UNIVERSES,
+)
+def test_constructor_rejects_keys_outside_the_universe(universe, key):
+    with pytest.raises(ValueError):
+        Element(universe, {key: 1})
+
+
 def test_constructors_fold_keys_into_normal_form():
     assert delta(W.BCS, (W.P, W.P)) == delta(W.BCS, (B(0, 2),))
     assert delta(W.BCS, (W.P, W.Q, T(1))) == delta(W.BCS, (T(1),))

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from pqt import words as W
+from pqt.algebra import delta
 from pqt.cli import main, parse_element, parse_word
+from pqt.embedding import Embedding
 from pqt.errors import ExprSyntaxError
 from oracles import random_element
 
@@ -213,7 +215,19 @@ def test_cli_resource_limits_exit_three(capsys):
 
 
 def test_cli_rank_force_lifts_the_cell_budget(capsys, monkeypatch):
+    # the triangularity witness builds no matrix, so the cell budget does not apply to it
+    code, payload = run_cli(capsys, "rank", "--m", "4", "--k", "3")
+    assert code == 0 and payload["result"] == "pass" and payload["matrix_dims"] == [1555, 4473]
     monkeypatch.setattr("pqt.cli.DEFAULT_MAX_CELLS", 100)
+    word_image = Embedding.word_image
+    target = (T(1), T(1, True))
+
+    def tampered(self, w):
+        # a block-free word as long as w enters its image, so elimination runs
+        image = word_image(self, w)
+        return image + delta(W.BCS, (T(1, True), T(1))) if w == target else image
+
+    monkeypatch.setattr(Embedding, "word_image", tampered)
     code, payload = run_cli(capsys, "rank", "--m", "2", "--k", "1")
     assert code == 3 and payload["result"] == "error"
     code, payload = run_cli(capsys, "rank", "--m", "2", "--k", "1", "--force")

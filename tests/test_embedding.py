@@ -189,9 +189,20 @@ def test_injectivity_rank_values():
         assert report.passed and report.details["rank"] == 85
 
 
-def test_injectivity_rank_respects_cell_cap():
+def test_injectivity_rank_respects_cell_cap(monkeypatch):
+    # the budget guards the coordinate matrix, which only the elimination fallback builds
+    assert injectivity_rank(3, 2, max_cells=100).passed
+    word_image = Embedding.word_image
+    target = (T(1), T(2))
+
+    def tampered(self, w):
+        image = word_image(self, w)
+        return image + delta(W.BCS, (T(2), T(1))) if w == target else image
+
+    monkeypatch.setattr(Embedding, "word_image", tampered)
     with pytest.raises(LimitExceeded):
         injectivity_rank(3, 2, max_cells=100)
+    assert injectivity_rank(3, 2, max_cells=None).stats["pivots"] == 85
 
 
 def test_injectivity_rank_larger_stage():

@@ -1,20 +1,61 @@
-"""Property tests (Hypothesis): the collapsed-block factorisation of state Grams, and
-operator norms of shift-representation matrices against an eigensolver oracle."""
+"""Property tests (Hypothesis): element arithmetic against its expansion, the
+collapsed-block factorisation of state Grams, and operator norms of
+shift-representation matrices against an eigensolver oracle."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from pqt import words as W
-from pqt.algebra import Element, GaussianRational
+from pqt.algebra import Element, GaussianRational, linear_combine
 from pqt.oper import RepConfig, ShiftRepresentation, op_norm
 from pqt.states import Character, FreeProductState, StateConfig, Vacuum, gram_matrix, gram_psd_check
-from oracles import block_gram_factors, distinct_kept_blocks, op_norm_eigh
+from oracles import (
+    block_gram_factors,
+    collect_by_expansion,
+    complex_product,
+    distinct_kept_blocks,
+    op_norm_eigh,
+    product_by_expansion,
+)
 
 _free_items = st.builds(W.FreeGen, st.integers(1, 2), st.booleans())
 _items = st.one_of(st.builds(W.BCElement, st.integers(0, 2), st.integers(0, 2)), _free_items)
 _bcs_words = st.lists(st.lists(_items, max_size=3).map(W.normalize_items), max_size=8, unique=True)
 _z = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=12))
+
+
+_parts = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+_coeffs = st.tuples(_parts, _parts)  # (re, im), zero included
+# unreduced spellings, identity blocks included, so the constructor has folding to do
+_raw_terms = st.dictionaries(st.lists(_items, max_size=3).map(tuple), _coeffs, max_size=4)
+
+
+def _plain(x: Element) -> list:
+    return [(w, (c.re, c.im)) for w, c in x.terms.items()]
+
+
+def _negated(terms: dict) -> list:
+    return [(w, (-re, -im)) for w, (re, im) in terms.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(raws=st.lists(_raw_terms, min_size=3, max_size=3), scalars=st.lists(_coeffs, min_size=3, max_size=3))
+def test_element_arithmetic_matches_expansion(raws, scalars):
+    # the same terms in the same first-appearance order as the oracle, zero sums dropped
+    x, y, z = (Element(W.BCS, {w: GaussianRational(*c) for w, c in raw.items()}) for raw in raws)
+    a, b, c = (collect_by_expansion(raw.items()) for raw in raws)
+    assert _plain(x) == list(a.items())
+    assert _plain(x + y) == list(collect_by_expansion([*a.items(), *b.items()]).items())
+    assert _plain(x - y) == list(collect_by_expansion([*a.items(), *_negated(b)]).items())
+    assert _plain(x * y) == list(product_by_expansion(a, b).items())
+    combined = linear_combine([(GaussianRational(*s), el) for s, el in zip(scalars, (x, y, z))])
+    scaled = [(w, complex_product(s, co)) for s, terms in zip(scalars, (a, b, c)) for w, co in terms.items()]
+    assert _plain(combined) == list(collect_by_expansion(scaled).items())
+    # a word that cancels and comes back keeps its first place
+    reappearing = linear_combine([(1, x), (-1, x), (1, y)])
+    assert _plain(reappearing) == list(collect_by_expansion([*a.items(), *_negated(a), *b.items()]).items())
+    assert not (x - x).terms and not (x + (-x)).terms
 
 
 @settings(max_examples=80, deadline=None)

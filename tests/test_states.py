@@ -200,16 +200,6 @@ def test_vacuum_degeneracy_on_enumeration():
             assert val == expected
 
 
-def test_moment_cache_matches_fresh_recomputation():
-    rng = random.Random(304)
-    state = FreeProductState()
-    words = [random_word(rng, W.BCS, max_len=4) for _ in range(50)]
-    for w in words:
-        state.word_moment(w)
-    for w, cached in list(state._cache.items()):
-        assert FreeProductState().word_moment(w) == cached
-
-
 def test_gram_pinned_small_cases():
     report = gram_psd_check(W.BC, [W.BC_IDENTITY])
     assert report.psd
