@@ -9,104 +9,168 @@ is nonzero" checks elsewhere meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 from .errors import UniverseMismatch
 from . import words as W
 
 
-_FZERO = Fraction(0)
+_new = object.__new__
 
 
-def _fast(re: Fraction, im: Fraction) -> "GaussianRational":
-    z = GaussianRational.__new__(GaussianRational)
-    z.re = re
-    z.im = im
+def _reduced(x: int, y: int, d: int) -> "GaussianRational":
+    """(x + y*i)/d in canonical form, for d > 0: one gcd, skipped when d is 1."""
+    if d != 1:
+        g = gcd(x, y, d)
+        if g != 1:
+            x, y, d = x // g, y // g, d // g
+    z = _new(GaussianRational)
+    z.x, z.y, z.d = x, y, d
     return z
 
 
 class GaussianRational:
-    """re + im*i with arbitrary-precision rational parts."""
+    """(x + y*i)/d over the integers, canonical: d > 0 and gcd(x, y, d) = 1.
 
-    __slots__ = ("re", "im")
+    Canonical form makes equality a comparison of the three fields, and
+    zero is (0, 0, 1).  Arithmetic keeps the numerators over one common
+    denominator and reduces by a single gcd (Knuth, TAOCP vol. 2, 4.5.1);
+    ``re``, ``im`` and ``abs2`` return Fractions for callers outside.
+    """
+
+    __slots__ = ("x", "y", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int:
+            a, b = re, 1
+        else:
+            re = re if isinstance(re, Fraction) else Fraction(re)
+            # int(): a Fraction built from a numpy integer keeps it, and numpy integers overflow
+            a, b = int(re.numerator), int(re.denominator)
+        if type(im) is int and im == 0:
+            self.x, self.y, self.d = a, 0, b
+            return
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        c, e = int(im.numerator), int(im.denominator)
+        # canonical with no reduction: a prime p of d = lcm(b, e) divides b (say) as often as d,
+        # so p divides neither d/b nor a, hence not x = a d/b
+        d = b // gcd(b, e) * e
+        self.x, self.y, self.d = a * (d // b), c * (d // e), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.d)
 
     def __add__(self, other):
-        if not isinstance(other, GaussianRational):
+        if type(other) is not GaussianRational:
             other = _coerce(other)
-        return _fast(self.re + other.re, self.im + other.im)
+        d = self.d
+        if d == other.d:
+            x, y = self.x + other.x, self.y + other.y
+        else:
+            e = other.d
+            x, y, d = self.x * e + other.x * d, self.y * e + other.y * d, d * e
+        return _reduced(x, y, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, GaussianRational):
+        if type(other) is not GaussianRational:
             other = _coerce(other)
-        return _fast(self.re - other.re, self.im - other.im)
+        d = self.d
+        if d == other.d:
+            x, y = self.x - other.x, self.y - other.y
+        else:
+            e = other.d
+            x, y, d = self.x * e - other.x * d, self.y * e - other.y * d, d * e
+        return _reduced(x, y, d)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __neg__(self):
-        return _fast(-self.re, -self.im)
+        z = _new(GaussianRational)
+        z.x, z.y, z.d = -self.x, -self.y, self.d
+        return z
 
     def __mul__(self, other):
-        if not isinstance(other, GaussianRational):
+        if type(other) is not GaussianRational:
             other = _coerce(other)
-        a, b = self.re, self.im
-        c, d = other.re, other.im
-        if not b and not d:
-            return _fast(a * c, _FZERO)
-        return _fast(a * c - b * d, a * d + b * c)
+        a, b, c, e = self.x, self.y, other.x, other.y
+        d = self.d * other.d
+        if b or e:
+            x, y = a * c - b * e, a * e + b * c
+        else:
+            x, y = a * c, 0
+        return _reduced(x, y, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, GaussianRational):
+        if type(other) is not GaussianRational:
             other = _coerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return _fast(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        # (a + bi)/d1 / ((c + ei)/d2) = d2 (a + bi)(c - ei) / (d1 (c^2 + e^2))
+        a, b, c, e, f = self.x, self.y, other.x, other.y, other.d
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero scalar")
+            # real divisor: (a + bi) f / (d1 c), with the sign moved onto the numerator
+            x, y, d = (f * a, f * b, self.d * c) if c > 0 else (-f * a, -f * b, -self.d * c)
+        else:
+            x, y, d = f * (a * c + b * e), f * (b * c - a * e), self.d * (c * c + e * e)
+        return _reduced(x, y, d)
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
     def conjugate(self) -> "GaussianRational":
-        return _fast(self.re, -self.im)
+        z = _new(GaussianRational)
+        z.x, z.y, z.d = self.x, -self.y, self.d
+        return z
 
     def abs2(self) -> Fraction:
         """|z|^2, exactly."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.x * self.x + self.y * self.y, self.d * self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.x or self.y)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.x or self.y)
 
     def __eq__(self, other):
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            other = _coerce(other)
-            return self.re == other.re and self.im == other.im
+        if type(other) is GaussianRational:
+            return self.x == other.x and self.y == other.y and self.d == other.d
+        if isinstance(other, int):
+            return not self.y and self.d == 1 and self.x == other
+        if isinstance(other, Fraction):
+            return not self.y and self.d == other.denominator and self.x == other.numerator
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the equal int or Fraction does
+        return hash(Fraction(self.x, self.d)) if not self.y else hash((self.x, self.y, self.d))
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        if not self.y:
+            return _ratio(self.x, self.d)  # reduced already
+        re = _ratio(self.x, self.d, gcd(self.x, self.d))
+        sign = "+" if self.y > 0 else "-"
+        return f"{re}{sign}{_ratio(abs(self.y), self.d, gcd(self.y, self.d))}i"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _ratio(n: int, d: int, g: int = 1) -> str:
+    """n/g over d/g as Fraction prints it: no denominator when it is one."""
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _coerce(x) -> GaussianRational:
@@ -137,7 +201,7 @@ def _collect(pairs: list) -> dict:
     for word, c in pairs:
         prev = get(word)
         out[word] = c if prev is None else prev + c
-    return {w: c for w, c in out.items() if c.re or c.im}
+    return {w: c for w, c in out.items() if c.x or c.y}
 
 
 class Element:

@@ -274,9 +274,7 @@ def _cmd_gram(args):
         words = W.bc_elements(args.m)
     else:
         words = W.enumerate_words(args.m, args.k, args.universe, limit=limit)
-    if limit is not None and len(words) ** 2 > DEFAULT_MAX_CELLS:
-        raise LimitExceeded(f"gram matrix {len(words)}x{len(words)} exceeds max_cells={DEFAULT_MAX_CELLS}")
-    report = gram_psd_check(args.universe, words, cfg)
+    report = gram_psd_check(args.universe, words, cfg, max_cells=None if args.force else DEFAULT_MAX_CELLS)
     return report.to_dict(), 0 if report.psd else 1
 
 

@@ -386,6 +386,8 @@ class InverseSearchResult:
     rank: int
     rank_augmented: int
     elapsed_ms: float = 0.0
+    # candidates, system rows and elimination pivots; not part of to_dict()
+    stats: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {
@@ -438,10 +440,11 @@ def inverse_search(
     uni = a.universe
     max_index = max((W.max_free_index(uni, w) for w in a.support()), default=0)
     cands = _candidate_words(uni, max_index, m, k_extra, limit)
-    block, rank, rank_aug = _solve_unknown_block(ElementMatrix([[a]]), side, 0, cands)
+    block, rank, rank_aug, rows = _solve_unknown_block(ElementMatrix([[a]]), side, 0, cands)
     elapsed = (time.perf_counter() - start) * 1000.0
     x = None if block is None else block[0]
-    return InverseSearchResult(block is not None, x, side, uni, m, k_extra, len(cands), rank, rank_aug, elapsed)
+    stats = {"candidates": len(cands), "rows": rows, "pivots": rank}
+    return InverseSearchResult(block is not None, x, side, uni, m, k_extra, len(cands), rank, rank_aug, elapsed, stats)
 
 
 # -- matrices over elements -----------------------------------------------------
@@ -511,7 +514,8 @@ def _solve_unknown_block(a: ElementMatrix, side: str, index: int, cands: list) -
     combination of the candidate words; the system's rows are the
     coordinates (r, u) of the n products, the right-hand side is the
     identity's column.  Returns (the n solved entries | None, rank,
-    augmented rank).
+    augmented rank, number of system rows); the rank is the number of
+    elimination pivots.
     """
     uni, n, ncand = a.universe, a.rows, len(cands)
     identity = W.identity_word(uni)
@@ -531,12 +535,12 @@ def _solve_unknown_block(a: ElementMatrix, side: str, index: int, cands: list) -
                     rows[i][col_id] = coeff
     solution, rank, rank_aug = sparse_solve(rows, n * ncand)
     if solution is None:
-        return None, rank, rank_aug
+        return None, rank, rank_aug, len(rows)
     terms: list = [{} for _ in range(n)]
     for col, c in solution.items():
         j, w_ix = divmod(col, ncand)
         terms[j][cands[w_ix]] = c
-    return [Element(uni, t) for t in terms], rank, rank_aug
+    return [Element(uni, t) for t in terms], rank, rank_aug, len(rows)
 
 
 @dataclass
@@ -547,6 +551,8 @@ class MatrixInverseResult:
     m: int
     candidates: int
     elapsed_ms: float = 0.0
+    # candidates, and system rows and pivots summed over the blocks solved; not part of to_dict()
+    stats: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {
@@ -588,10 +594,13 @@ def mat_inverse_search(
     )
     cands = _candidate_words(uni, max_index, m, k_extra, limit)
     solved: list = []
+    stats = {"candidates": len(cands), "rows": 0, "pivots": 0}
     for index in range(n):
-        block, _, _ = _solve_unknown_block(a, side, index, cands)
+        block, rank, _, rows = _solve_unknown_block(a, side, index, cands)
+        stats["rows"] += rows
+        stats["pivots"] += rank
         if block is None:
-            return MatrixInverseResult(False, None, side, m, len(cands), (time.perf_counter() - start) * 1000.0)
+            return MatrixInverseResult(False, None, side, m, len(cands), (time.perf_counter() - start) * 1000.0, stats)
         solved.append(block)
 
     if side == "right":
@@ -599,4 +608,4 @@ def mat_inverse_search(
     else:
         entries = [[solved[r][c] for c in range(n)] for r in range(n)]
     x = ElementMatrix(entries)
-    return MatrixInverseResult(True, x, side, m, len(cands), (time.perf_counter() - start) * 1000.0)
+    return MatrixInverseResult(True, x, side, m, len(cands), (time.perf_counter() - start) * 1000.0, stats)

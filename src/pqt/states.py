@@ -29,9 +29,10 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import UniverseMismatch
+from .errors import LimitExceeded, UniverseMismatch
 from . import words as W
 from .algebra import Element, GaussianRational, ONE, ZERO
+from .embedding import DEFAULT_MAX_CELLS
 
 
 _F0 = Fraction(0)
@@ -195,12 +196,13 @@ def psd_decide(gram: list) -> tuple:
     n = len(gram)
     if n == 0:
         return True, None
-    M = [[e.re for e in row] for row in gram]
-    if any(e.im != 0 for row in gram for e in row):
-        B = [[e.im for e in row] for row in gram]
-        M = [a + [-b for b in bs] for a, bs in zip(M, B)] + [bs + a for a, bs in zip(M, B)]
-    scale = math.lcm(*(e.denominator for row in M for e in row))
-    K = [[int(e * scale) for e in row] for row in M]
+    # scaled by L, the lcm of the entries' d's, (x + yi)/d becomes x L/d and
+    # y L/d; as gcd(x, y, d) = 1, L is the lcm of the parts' reduced denominators
+    L = math.lcm(*(e.d for row in gram for e in row))
+    K = [[e.x * (L // e.d) for e in row] for row in gram]
+    if any(e.y for row in gram for e in row):
+        B = [[e.y * (L // e.d) for e in row] for row in gram]
+        K = [a + [-b for b in bs] for a, bs in zip(K, B)] + [bs + a for a, bs in zip(K, B)]
     # [[A, -B], [B, A]] is symmetric iff A is symmetric and B antisymmetric
     if K != [list(col) for col in zip(*K)]:
         raise ValueError("gram matrix is not Hermitian")
@@ -251,7 +253,7 @@ class GramReport:
         return out
 
 
-def _block_gram_decide(words: list, s_state: Character) -> tuple:
+def _block_gram_decide(words: list, s_state: Character, max_cells: int | None) -> tuple:
     """PSD decision of a state Gram on the distinct collapsed blocks of its words.
 
     With d_i = chi(free letters of w_i) and c_i the collapse of w_i, the
@@ -261,7 +263,8 @@ def _block_gram_decide(words: list, s_state: Character) -> tuple:
     (Horn and Johnson, Matrix Analysis, 4.5) G is PSD iff that K is.  A
     violating minor of K maps to the first kept word of each block: G on
     those words is D_r K_sub D_r with D_r invertible, so it violates too.
-    Returns (is_psd, violating minor of G or None, number of blocks).
+    K is held to ``max_cells`` before it is built.  Returns (is_psd,
+    violating minor of G or None, number of blocks).
     """
     first: dict = {}  # block -> index of its first kept word, in first-appearance order
     for i, w in enumerate(words):
@@ -269,17 +272,27 @@ def _block_gram_decide(words: list, s_state: Character) -> tuple:
         if s_state.moment_fraction(letters) != 0:
             first.setdefault(block, i)
     blocks = list(first)
+    _check_cells(len(blocks), max_cells)
     K = [[GaussianRational(BC_STATE.moment_fraction(W.bc_mul(W.bc_star(ci), cj))) for cj in blocks] for ci in blocks]
     psd, minor = psd_decide(K)
     return psd, None if psd else sorted(first[blocks[i]] for i in minor), len(blocks)
 
 
-def gram_psd_check(universe: str, words: list, cfg: StateConfig | None = None) -> GramReport:
+def _check_cells(n: int, max_cells: int | None) -> None:
+    if max_cells is not None and n * n > max_cells:
+        raise LimitExceeded(f"gram matrix {n}x{n} exceeds max_cells={max_cells}")
+
+
+def gram_psd_check(
+    universe: str, words: list, cfg: StateConfig | None = None, *, max_cells: int | None = DEFAULT_MAX_CELLS
+) -> GramReport:
     """Exact positivity check of the state on span{delta_w : w in words}.
 
     On bc, sinf and bcs the decision is taken on the distinct collapsed
     blocks (``_block_gram_decide``), and no n x n matrix is built; on f2
-    the trace's Gram is built and eliminated.
+    the trace's Gram is built and eliminated.  The matrix that is built,
+    blocks x blocks or n x n, is held to ``max_cells`` cells (None lifts
+    the budget); over it, LimitExceeded is raised before it is built.
     """
     if universe not in W.UNIVERSES:
         raise ValueError(f"unknown universe {universe!r}")
@@ -289,9 +302,10 @@ def gram_psd_check(universe: str, words: list, cfg: StateConfig | None = None) -
     state = FreeProductState(cfg)
     stats = {"words": len(words)}
     if universe == W.F2:
+        _check_cells(len(words), max_cells)
         psd, minor = psd_decide(gram_matrix(universe, words, state))
     else:
-        psd, minor, stats["blocks"] = _block_gram_decide(words, state.cfg.s_state)
+        psd, minor, stats["blocks"] = _block_gram_decide(words, state.cfg.s_state, max_cells)
     elapsed = (time.perf_counter() - start) * 1000.0
     return GramReport(
         universe=universe,

@@ -10,7 +10,10 @@ over every (target, candidate) pair on the images the embedding builds,
 the operator norm by a Hermitian eigensolver instead of an SVD, positive
 semidefiniteness by the signs of all principal minors instead of an
 elimination, and the collapsed blocks of a state Gram by rewriting the
-word's bicyclic letters.
+word's bicyclic letters.  Dense ranks, determinants and the inverse
+searches' systems are computed over plain (re, im) Fraction pairs, read
+from library scalars through ``.re``/``.im``, never with the library's
+scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -345,29 +348,50 @@ def coordinate_separation_pairwise(m, k, gamma=None) -> CheckReport:
     )
 
 
-# -- dense exact linear algebra, for checking the sparse kernels -------------------
+# -- dense exact linear algebra over plain (re, im) Fraction pairs -----------------
 
 
-def dense_rank(rows) -> int:
-    """Textbook Gaussian elimination over exact scalars, dense and destructive."""
+def as_pair(z) -> tuple:
+    """A library scalar as a plain (re, im) pair of Fractions."""
+    return (z.re, z.im)
+
+
+def _pair_quotient(a, b) -> tuple:
+    n = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
+
+
+def _pair_minus_product(a, f, b) -> tuple:
+    """a - f * b."""
+    fb = complex_product(f, b)
+    return (a[0] - fb[0], a[1] - fb[1])
+
+
+def pair_rank(rows) -> int:
+    """Textbook Gaussian elimination over (re, im) Fraction pairs, dense and destructive."""
     m = [list(r) for r in rows]
     if not m:
         return 0
     n_rows, n_cols = len(m), len(m[0])
     rank = 0
     for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if not m[r][col].is_zero()), None)
+        pivot = next((r for r in range(rank, n_rows) if any(m[r][col])), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         pv = m[rank][col]
-        m[rank] = [v / pv for v in m[rank]]
+        m[rank] = [_pair_quotient(v, pv) for v in m[rank]]
         for r in range(n_rows):
-            if r != rank and not m[r][col].is_zero():
+            if r != rank and any(m[r][col]):
                 f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+                m[r] = [_pair_minus_product(a, f, b) for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def dense_rank(rows) -> int:
+    """Rank of a matrix of library scalars, eliminated over their (re, im) pairs."""
+    return pair_rank([[as_pair(v) for v in r] for r in rows])
 
 
 def dense_solvable(rows, rhs) -> bool:
@@ -377,21 +401,21 @@ def dense_solvable(rows, rhs) -> bool:
     return augmented == plain
 
 
-def dense_det(rows) -> GaussianRational:
-    """Determinant by textbook Gaussian elimination with row swaps, over exact scalars."""
-    m = [list(r) for r in rows]
-    det = GaussianRational(1)
+def dense_det(rows) -> tuple:
+    """Determinant as an (re, im) pair, by Gaussian elimination with row swaps over the entries' pairs."""
+    m = [[as_pair(v) for v in r] for r in rows]
+    det = (Fraction(1), Fraction(0))
     for col in range(len(m)):
-        pivot = next((r for r in range(col, len(m)) if not m[r][col].is_zero()), None)
+        pivot = next((r for r in range(col, len(m)) if any(m[r][col])), None)
         if pivot is None:
-            return GaussianRational(0)
+            return (Fraction(0), Fraction(0))
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col]
+            det = (-det[0], -det[1])
+        det = complex_product(det, m[col][col])
         for r in range(col + 1, len(m)):
-            f = m[r][col] / m[col][col]
-            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+            f = _pair_quotient(m[r][col], m[col][col])
+            m[r] = [_pair_minus_product(a, f, b) for a, b in zip(m[r], m[col])]
     return det
 
 
@@ -399,10 +423,48 @@ def psd_by_principal_minors(h) -> bool:
     """A Hermitian matrix is PSD iff every principal minor is >= 0 (Horn and Johnson, Matrix Analysis)."""
     n = len(h)
     return all(
-        dense_det([[h[i][j] for j in idx] for i in idx]).re >= 0
+        dense_det([[h[i][j] for j in idx] for i in idx])[0] >= 0
         for size in range(1, n + 1)
         for idx in itertools.combinations(range(n), size)
     )
+
+
+# -- the coordinate systems of the inverse searches, recounted -----------------------
+
+
+def _as_bcs_word(universe, w) -> tuple:
+    if universe == W.BC:
+        return () if w.is_identity() else (w,)
+    return w
+
+
+def inverse_system_counts(entries, side, cands) -> tuple:
+    """(rows, rank) of the system that each unknown block of a one-sided inverse solves.
+
+    ``entries`` is the square matrix A as nested lists of bc, sinf or bcs
+    elements.  Every product A[r][j] * w (side "right") or w * A[j][r]
+    ("left") is expanded over (re, im) pairs with its words multiplied by
+    rewriting; the rows are the n identity coordinates plus every other
+    (r, word) a product reaches, and the rank is that of the coefficient
+    matrix, eliminated densely.  The n blocks differ only in the
+    right-hand side, so they share these counts.
+    """
+    n, uni = len(entries), entries[0][0].universe
+    plain = [[{_as_bcs_word(uni, u): as_pair(c) for u, c in el.terms.items()} for el in row] for row in entries]
+    one = (Fraction(1), Fraction(0))
+    columns = []  # one {(r, word): pair} per unknown (j, candidate)
+    for j in range(n):
+        for w in cands:
+            dw = {_as_bcs_word(uni, w): one}
+            column = {}
+            for r in range(n):
+                prod = product_by_expansion(plain[r][j], dw) if side == "right" else product_by_expansion(dw, plain[j][r])
+                column.update(((r, u), c) for u, c in prod.items())
+            columns.append(column)
+    keys = set(itertools.chain.from_iterable(columns)) | {(r, ()) for r in range(n)}
+    zero = (Fraction(0), Fraction(0))
+    rank = pair_rank([[col.get(key, zero) for col in columns] for key in keys])
+    return len(keys), rank
 
 
 # -- random data helpers -----------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pqt import words as W
@@ -37,6 +38,12 @@ class TestGaussianRational:
         assert a.conjugate() == gr("3/4", "2/5")
         assert a.abs2() == Fraction(9, 16) + Fraction(4, 25)
         assert (a * a.conjugate()) == GaussianRational(a.abs2())
+
+    def test_numpy_integer_parts_stay_exact(self):
+        # Fraction keeps a numpy integer as its numerator; a 64-bit product would wrap
+        big = np.int64(2**62)
+        assert GaussianRational(big) * 4 == GaussianRational(2**64)
+        assert GaussianRational(Fraction(1, 3), big) * 4 == GaussianRational(Fraction(4, 3), 2**64)
 
     def test_str(self):
         assert str(gr("1/2")) == "1/2"

@@ -204,8 +204,10 @@ def test_cli_resource_limits_exit_three(capsys):
     assert code == 3 and payload["result"] == "error"
     code, payload = run_cli(capsys, "gram", "--m", "4", "--k", "6")
     assert code == 3
+    code, payload = run_cli(capsys, "gram", "--universe", "bc", "--m", "60")
+    assert code == 3  # 1891 words, each its own block: a 1891 x 1891 K is over budget
     code, payload = run_cli(capsys, "gram", "--m", "3", "--k", "1")
-    assert code == 3  # 6765 words enumerate, but their gram matrix is over budget
+    assert code == 0 and payload["psd"] is True  # 6765 words, but only a 190 x 190 K is built
     for command in ("rep-report", "boundary-check"):
         code, payload = run_cli(capsys, command, "--dim", "2000")
         assert code == 3 and payload["result"] == "error"  # 2000^2 cells per matrix

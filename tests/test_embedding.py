@@ -21,7 +21,7 @@ from pqt.embedding import (
     verify_support_bound,
 )
 from pqt.errors import LimitExceeded
-from oracles import coordinate_separation_pairwise, dense_rank, phi_by_expansion, random_element
+from oracles import coordinate_separation_pairwise, dense_rank, inverse_system_counts, phi_by_expansion, random_element
 
 B = W.BCElement
 T = W.t
@@ -351,6 +351,42 @@ def test_inverse_search_scalar_multiple_of_identity():
     assert result.found
     assert a * result.solution == unit(W.BCS)
     assert result.solution.coordinate(()) == GaussianRational(Fraction(1, 2))
+
+
+def _el(universe, terms):
+    return Element(universe, {w: GaussianRational(*c) if isinstance(c, tuple) else c for w, c in terms.items()})
+
+
+@pytest.mark.parametrize(
+    "a, side, m, k_extra",
+    [
+        (delta(W.BC, W.Q), "right", 6, 0),  # infeasible
+        (_el(W.BC, {W.BC_IDENTITY: 2, B(1, 1): (0, Fraction(1, 5))}), "right", 3, 0),  # found, complex
+        (delta(W.BC, B(1, 1)), "left", 2, 0),  # rank below the candidate count
+        (_el(W.SINF, {(): 1, (T(1),): -1}), "right", 3, 0),
+        (_el(W.SINF, {(): (Fraction(2, 3), -1), (T(1), T(2, True)): 1}), "left", 2, 0),
+        (_el(W.BCS, {(W.P,): (Fraction(1, 2), Fraction(1, 3))}), "right", 1, 1),  # found, rank deficient
+        (_el(W.BCS, {(): 1, (T(1),): -1}), "right", 1, 0),
+    ],
+)
+def test_inverse_search_stats_match_recount(a, side, m, k_extra):
+    result = inverse_search(a, side, m, k_extra=k_extra)
+    k = max(W.max_free_index(a.universe, w) for w in a.support()) + k_extra
+    cands = W.bc_elements(m) if a.universe == W.BC else W.enumerate_words(m, k, a.universe)
+    rows, rank = inverse_system_counts([[a]], side, cands)
+    assert result.stats == {"candidates": len(cands), "rows": rows, "pivots": rank}
+    assert result.candidates == len(cands) and result.rank == rank
+    assert "stats" not in result.to_dict()
+
+
+def test_mat_inverse_search_stats_match_recount():
+    # both blocks of the 2 x 2 system are solved, each with the same coefficient matrix
+    a = ElementMatrix([[unit(W.SINF), delta(W.SINF, (T(1),))], [zero(W.SINF), unit(W.SINF)]])
+    result = mat_inverse_search(a, "right", 2)
+    cands = W.enumerate_words(2, 1, W.SINF)
+    rows, rank = inverse_system_counts([list(row) for row in a.entries], "right", cands)
+    assert result.found and result.stats == {"candidates": len(cands), "rows": 2 * rows, "pivots": 2 * rank}
+    assert "stats" not in result.to_dict()
 
 
 def test_sparse_kernels_against_dense_oracle():

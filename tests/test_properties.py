@@ -1,10 +1,13 @@
-"""Property tests (Hypothesis): element arithmetic against its expansion, the
-collapsed-block factorisation of state Grams, and operator norms of
-shift-representation matrices against an eigensolver oracle."""
+"""Property tests (Hypothesis): the scalar kernel against plain Fraction-pair
+arithmetic, element arithmetic against its expansion, the collapsed-block
+factorisation of state Grams, and operator norms of shift-representation
+matrices against an eigensolver oracle."""
 
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pqt import words as W
 from pqt.algebra import Element, GaussianRational, linear_combine
@@ -18,6 +21,68 @@ from oracles import (
     op_norm_eigh,
     product_by_expansion,
 )
+
+_q = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_pairs = st.tuples(_q, _q)
+# scalar, int and Fraction operands; small denominators make equal ones and common factors frequent
+_operands = st.one_of(_pairs.map(lambda c: GaussianRational(*c)), st.integers(-4, 4), _q)
+
+
+def _pair_of(v) -> tuple:
+    return (v.re, v.im) if isinstance(v, GaussianRational) else (Fraction(v), Fraction(0))
+
+
+def _fraction_str(re: Fraction, im: Fraction) -> str:
+    # the formatting of the two-Fraction scalar this kernel replaced
+    if im == 0:
+        return str(re)
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+def _assert_scalar(z, pair) -> None:
+    """z is canonical, holds the value pair, prints and hashes as that value does."""
+    assert type(z) is GaussianRational
+    assert z.d > 0 and math.gcd(z.x, z.y, z.d) == 1
+    assert (Fraction(z.x, z.d), Fraction(z.y, z.d)) == pair == (z.re, z.im)
+    assert str(z) == _fraction_str(*pair)
+    same = GaussianRational(*pair)
+    assert z == same and hash(z) == hash(same)
+    if pair[1] == 0:
+        assert z == pair[0] and hash(z) == hash(pair[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_pairs, other=_operands)
+@example(a=(Fraction(1, 6), Fraction(0)), other=GaussianRational(Fraction(1, 6)))  # 2/6 over one denominator
+@example(a=(Fraction(1, 4), Fraction(-3, 4)), other=GaussianRational(Fraction(1, 4), Fraction(1, 4)))
+@example(a=(Fraction(1, 2), Fraction(1, 3)), other=GaussianRational(Fraction(-1, 2), Fraction(-1, 3)))
+@example(a=(Fraction(2), Fraction(-1, 3)), other=GaussianRational(Fraction(3, 2), Fraction(1, 2)))
+def test_scalar_kernel_matches_fraction_pairs(a, other):
+    z = GaussianRational(*a)
+    _assert_scalar(z, a)
+    b = _pair_of(other)
+    (ar, ai), (br, bi) = a, b
+    _assert_scalar(z + other, (ar + br, ai + bi))
+    _assert_scalar(other + z, (ar + br, ai + bi))
+    _assert_scalar(z - other, (ar - br, ai - bi))
+    _assert_scalar(other - z, (br - ar, bi - ai))
+    _assert_scalar(z * other, complex_product(a, b))
+    _assert_scalar(other * z, complex_product(a, b))
+    _assert_scalar(-z, (-ar, -ai))
+    _assert_scalar(z.conjugate(), (ar, -ai))
+    assert z.abs2() == ar * ar + ai * ai
+    for x, y, (xr, xi), (yr, yi) in ((z, other, a, b), (other, z, b, a)):
+        n = yr * yr + yi * yi
+        if n:
+            _assert_scalar(x / y, ((xr * yr + xi * yi) / n, (xi * yr - xr * yi) / n))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+    assert (z == other) == (a == b) and (z != other) == (a != b)
+    # sums that cancel are the canonical zero (0, 0, 1)
+    for zero in (z - z, z + (-z), z + GaussianRational(-ar, -ai), z * 0):
+        assert (zero.x, zero.y, zero.d) == (0, 0, 1) and not zero
+
 
 _free_items = st.builds(W.FreeGen, st.integers(1, 2), st.booleans())
 _items = st.one_of(st.builds(W.BCElement, st.integers(0, 2), st.integers(0, 2)), _free_items)
