@@ -263,17 +263,10 @@ def _cmd_moment(args):
 
 def _cmd_gram(args):
     cfg = _state_config(args)
-    limit = _limit(args)
     if args.words:
         words = [parse_word(part, args.universe) for part in args.words.split(";") if part.strip()]
-    elif args.universe == W.BC:
-        # the bc words q^a p^b with a + b <= m
-        count = (args.m + 1) * (args.m + 2) // 2
-        if limit is not None and count > limit:
-            raise LimitExceeded(f"enumeration would produce {count} words (limit {limit})")
-        words = W.bc_elements(args.m)
     else:
-        words = W.enumerate_words(args.m, args.k, args.universe, limit=limit)
+        words = W.enumerate_words(args.m, args.k, args.universe, limit=_limit(args))
     report = gram_psd_check(args.universe, words, cfg, max_cells=None if args.force else DEFAULT_MAX_CELLS)
     return report.to_dict(), 0 if report.psd else 1
 

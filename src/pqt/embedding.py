@@ -404,19 +404,6 @@ class InverseSearchResult:
         return out
 
 
-def _candidate_words(uni: str, max_index: int, m: int, k_extra: int, limit) -> list:
-    if uni == W.BC:
-        return W.bc_elements(m)
-    if uni == W.F2:
-        return W.enumerate_f2(m, limit=limit)
-    k = max_index + k_extra
-    if k < 1:
-        if uni == W.SINF:
-            return [()]
-        return [()] + [(b,) for b in W.bc_elements(m * W.DEFAULT_BLOCK_FACTOR, include_identity=False)]
-    return W.enumerate_words(m, k, uni, limit=limit)
-
-
 def inverse_search(
     a: Element,
     side: str,
@@ -439,7 +426,7 @@ def inverse_search(
     start = time.perf_counter()
     uni = a.universe
     max_index = max((W.max_free_index(uni, w) for w in a.support()), default=0)
-    cands = _candidate_words(uni, max_index, m, k_extra, limit)
+    cands = W.enumerate_words(m, max(0, max_index + k_extra), uni, limit=limit)
     block, rank, rank_aug, rows = _solve_unknown_block(ElementMatrix([[a]]), side, 0, cands)
     elapsed = (time.perf_counter() - start) * 1000.0
     x = None if block is None else block[0]
@@ -592,7 +579,7 @@ def mat_inverse_search(
         (W.max_free_index(uni, w) for row in a.entries for el in row for w in el.support()),
         default=0,
     )
-    cands = _candidate_words(uni, max_index, m, k_extra, limit)
+    cands = W.enumerate_words(m, max(0, max_index + k_extra), uni, limit=limit)
     solved: list = []
     stats = {"candidates": len(cands), "rows": 0, "pivots": 0}
     for index in range(n):

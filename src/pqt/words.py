@@ -20,7 +20,6 @@ concurrently.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -314,37 +313,45 @@ def _check_universe(universe: str) -> None:
 # -- enumeration --------------------------------------------------------------
 
 
-def bc_elements(max_exponent_sum: int, include_identity: bool = True) -> list:
-    """All q^a p^b with a + b <= max_exponent_sum, in canonical order."""
-    out = [BCElement(a, s - a) for s in range(1, max_exponent_sum + 1) for a in range(s + 1)]
+def bc_elements(max_exponent_sum: int) -> list:
+    """All q^a p^b with a + b <= max_exponent_sum, in canonical order (the identity first)."""
+    out = [BCElement(a, s - a) for s in range(max_exponent_sum + 1) for a in range(s + 1)]
     out.sort(key=lambda x: word_sort_key(BC, x))
-    if include_identity:
-        return [BC_IDENTITY] + out
     return out
 
 
-def _free_gens(k: int) -> list:
-    return [FreeGen(i, s) for i in range(1, k + 1) for s in (False, True)]
+_F2_LETTERS = tuple(_F2_RANK)
+
+
+def _follow_table(m: int, k: int, universe: str, block_exponent_factor: int) -> dict:
+    """For each last letter (None for the empty word), the letters that may come next."""
+    if universe == F2:
+        # no letter next to its inverse
+        follow = {(g, e): tuple(x for x in _F2_LETTERS if x != (g, -e)) for g, e in _F2_LETTERS}
+        return {None: _F2_LETTERS, **follow}
+    gens = tuple(FreeGen(i, s) for i in range(1, k + 1) for s in (False, True))
+    blocks = tuple(bc_elements(m * block_exponent_factor)[1:]) if universe == BCS else ()
+    # no two bicyclic blocks side by side
+    return {None: gens + blocks, **dict.fromkeys(gens, gens + blocks), **dict.fromkeys(blocks, gens)}
 
 
 def count_words(m: int, k: int, universe: str, *, block_exponent_factor: int = DEFAULT_BLOCK_FACTOR) -> int:
     """Size of the enumeration without materialising it."""
-    if universe == SINF:
-        return sum((2 * k) ** i for i in range(m + 1))
-    if universe == BCS:
-        bound = m * block_exponent_factor
-        n_free = 2 * k
-        n_bc = bound * (bound + 3) // 2  # sum of (s + 1) for s = 1..bound
-        end_free, end_bc = 0, 0
-        total = 1
-        for length in range(1, m + 1):
-            prev_any = (end_free + end_bc) if length > 1 else 1
-            prev_free = end_free if length > 1 else 1
-            end_free = prev_any * n_free
-            end_bc = prev_free * n_bc if length > 1 else n_bc
-            total += end_free + end_bc
-        return total
-    raise ValueError(f"enumeration is defined for {SINF!r} and {BCS!r}, not {universe!r}")
+    _check_universe(universe)
+    if universe == BC:
+        return (m + 1) * (m + 2) // 2
+    if universe == F2:
+        return 2 * 3**m - 1  # 1 + sum of 4 * 3^(i - 1) for i = 1..m
+    bound = m * block_exponent_factor if universe == BCS else 0
+    n_free, n_bc = 2 * k, bound * (bound + 3) // 2  # sum of (s + 1) for s = 1..bound
+    # words of the current length ending in a free letter (the empty word among them) or in a block
+    free, block, total = 1, 0, 1
+    for _ in range(m):
+        free, block = (free + block) * n_free, free * n_bc
+        if not (free or block):
+            break
+        total += free + block
+    return total
 
 
 def enumerate_words(
@@ -357,7 +364,9 @@ def enumerate_words(
 ) -> list:
     """All words of length <= m with generator indices <= k, sorted.
 
-    For ``bcs`` the bicyclic blocks are capped at exponent sum
+    ``bc`` lists q^a p^b with a + b <= m and ``f2`` the reduced words;
+    neither reads k.  On ``sinf`` and ``bcs``, k = 0 leaves no free
+    letters.  For ``bcs`` the bicyclic blocks are capped at exponent sum
     m * block_exponent_factor; the abstract length filtration is infinite,
     so any finite enumeration has to bound exponents somewhere.
 
@@ -365,62 +374,28 @@ def enumerate_words(
     it: every checked statement is uniform in the generator index, and a
     finite computation only ever touches finitely many indices.
     """
+    _check_universe(universe)
     if m < 0:
         raise ValueError("m must be >= 0")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if limit is not None and (m > MAX_LENGTH or k > MAX_INDEX):
+    free_letters = universe in (SINF, BCS)
+    if free_letters and k < 0:
+        raise ValueError("k must be >= 0")
+    # free letters let images grow like 2^m, so lists with them are held to the length/index guard
+    if limit is not None and free_letters and k >= 1 and (m > MAX_LENGTH or k > MAX_INDEX):
         raise LimitExceeded(f"enumeration bounds m={m}, k={k} exceed the safety limits (pass limit=None to force)")
     total = count_words(m, k, universe, block_exponent_factor=block_exponent_factor)
     if limit is not None and total > limit:
         raise LimitExceeded(f"enumeration would produce {total} words (limit {limit})")
+    if universe == BC:
+        return bc_elements(m)
 
-    if universe == SINF:
-        gens = _free_gens(k)
-        words: list = [()]
-        for length in range(1, m + 1):
-            words.extend(itertools.product(gens, repeat=length))
-        words.sort(key=lambda w: word_sort_key(SINF, w))
-        return words
-
-    # bcs: grow item sequences, never placing two bicyclic blocks side by side
-    blocks = bc_elements(m * block_exponent_factor, include_identity=False)
-    gens = _free_gens(k)
-    words = [()]
-    frontier: list = [()]
-    for _ in range(m):
-        grown: list = []
-        for w in frontier:
-            bc_ok = not (w and isinstance(w[-1], BCElement))
-            for g in gens:
-                grown.append(w + (g,))
-            if bc_ok:
-                for b in blocks:
-                    grown.append(w + (b,))
-        words.extend(grown)
-        frontier = grown
-    words.sort(key=lambda w: word_sort_key(BCS, w))
-    return words
-
-
-def enumerate_f2(m: int, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> list:
-    """All reduced words of length <= m over x, y and their inverses."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    total = 1 + sum(4 * 3 ** (i - 1) for i in range(1, m + 1))
-    if limit is not None and total > limit:
-        raise LimitExceeded(f"enumeration would produce {total} words (limit {limit})")
-    letters = [("x", 1), ("x", -1), ("y", 1), ("y", -1)]
+    follow = _follow_table(m, k, universe, block_exponent_factor)
     words: list = [()]
     frontier: list = [()]
     for _ in range(m):
-        grown = []
-        for w in frontier:
-            for g, e in letters:
-                if w and w[-1][0] == g and w[-1][1] == -e:
-                    continue
-                grown.append(w + ((g, e),))
-        words.extend(grown)
-        frontier = grown
-    words.sort(key=lambda w: word_sort_key(F2, w))
+        frontier = [w + (x,) for w in frontier for x in follow[w[-1] if w else None]]
+        if not frontier:
+            break
+        words.extend(frontier)
+    words.sort(key=lambda w: word_sort_key(universe, w))
     return words

@@ -9,11 +9,12 @@ literal two-level centered expansion, the coordinate lemma by the scan
 over every (target, candidate) pair on the images the embedding builds,
 the operator norm by a Hermitian eigensolver instead of an SVD, positive
 semidefiniteness by the signs of all principal minors instead of an
-elimination, and the collapsed blocks of a state Gram by rewriting the
-word's bicyclic letters.  Dense ranks, determinants and the inverse
-searches' systems are computed over plain (re, im) Fraction pairs, read
-from library scalars through ``.re``/``.im``, never with the library's
-scalar arithmetic.
+elimination, the collapsed blocks of a state Gram by rewriting the
+word's bicyclic letters, and bounded word lists by one generator per
+universe instead of one frontier kernel.  Dense ranks, determinants and
+the inverse searches' systems are computed over plain (re, im) Fraction
+pairs, read from library scalars through ``.re``/``.im``, never with the
+library's scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -92,6 +93,51 @@ def reblock(tokens) -> tuple:
 def pw_mul_by_rewriting(u, v) -> tuple:
     tokens = W.word_tokens(W.BCS, u) + W.word_tokens(W.BCS, v)
     return reblock(rewrite_pq(tokens))
+
+
+def normal_form_by_rewriting(universe, w):
+    """The normal form of a spelling, rebuilt from its rewritten tokens (f2: by fixpoint reduction)."""
+    if universe == W.F2:
+        return fg_reduce_fixpoint(w)
+    items = reblock(rewrite_pq(W.word_tokens(universe, w)))
+    if universe == W.BC:
+        return items[0] if items else W.BC_IDENTITY
+    return items
+
+
+# -- word lists, one generator per universe -------------------------------------------
+
+
+def enumerate_by_universe(m, k, universe) -> list:
+    """The words of length <= m that ``enumerate_words`` lists, each universe built its own way.
+
+    bc loops over the exponent pairs (a, b), sinf takes itertools
+    products of the 2k free letters, and bcs and f2 grow frontiers that
+    skip a block after a block and a letter after its inverse.
+    """
+    gens = [W.FreeGen(i, s) for i in range(1, k + 1) for s in (False, True)]
+    if universe == W.BC:
+        words = [W.BCElement(a, b) for a in range(m + 1) for b in range(m + 1 - a)]
+    elif universe == W.SINF:
+        words = [w for length in range(m + 1) for w in itertools.product(gens, repeat=length)]
+    elif universe == W.F2:
+        letters = [("x", 1), ("x", -1), ("y", 1), ("y", -1)]
+        words = frontier = [()]
+        for _ in range(m):
+            frontier = [w + ((g, e),) for w in frontier for g, e in letters if not (w and w[-1] == (g, -e))]
+            words = words + frontier
+    else:
+        bound = m * W.DEFAULT_BLOCK_FACTOR
+        blocks = [W.BCElement(a, b) for a in range(bound + 1) for b in range(bound + 1 - a) if a or b]
+        words = frontier = [()]
+        for _ in range(m):
+            grown = []
+            for w in frontier:
+                grown.extend(w + (g,) for g in gens)
+                if not (w and isinstance(w[-1], W.BCElement)):
+                    grown.extend(w + (b,) for b in blocks)
+            words, frontier = words + grown, grown
+    return sorted(words, key=lambda w: W.word_sort_key(universe, w))
 
 
 # -- the embedding by full expansion -------------------------------------------------

@@ -216,6 +216,35 @@ def test_cli_resource_limits_exit_three(capsys):
         assert code == 3 and payload["result"] == "error"  # up to 2^letters image terms
 
 
+def test_cli_word_budget_covers_every_list(capsys):
+    # bc lists and bcs lists without free letters are held to the same 200000-word budget
+    for universe, m, expr, count in (("bc", "700", "q", 246051), ("bcs", "300", "2*e", 406351)):
+        code, payload = run_cli(capsys, "inv-search", "--universe", universe, "--side", "right", "--m", m, expr)
+        assert code == 3 and payload["message"] == f"enumeration would produce {count} words (limit 200000)"
+    # e and the 1890 blocks of exponent sum <= 60; without free letters the length guard does not apply
+    code, payload = run_cli(capsys, "inv-search", "--universe", "bcs", "--side", "right", "--m", "20", "2*e")
+    assert code == 0 and payload["candidates"] == 1891 and payload["solution"] == "1/2*e"
+
+
+def test_cli_word_list_arguments(capsys):
+    for universe, expr in (("bc", "q"), ("bcs", "2*e"), ("sinf", "2*e"), ("f2", "x")):
+        code, payload = run_cli(capsys, "inv-search", "--universe", universe, "--side", "right", "--m", "-1", expr)
+        assert code == 2 and payload["message"] == "m must be >= 0"
+    code, payload = run_cli(capsys, "gram", "--universe", "bc", "--m", "-1")
+    assert code == 2 and payload["message"] == "m must be >= 0"
+    code, payload = run_cli(capsys, "gram", "--universe", "bc", "--m", "1", "--k", "-1")
+    assert code == 0 and payload["words"] == ["e", "p", "q"]  # k is not read on bc
+    code, payload = run_cli(capsys, "lemma-support", "--m", "2", "--k", "-1")
+    assert code == 2 and payload["message"] == "k must be >= 0"
+    # k = 0: no free letters, so the list is the empty word alone
+    code, payload = run_cli(capsys, "lemma-support", "--m", "2", "--k", "0")
+    assert code == 0 and payload["result"] == "pass" and payload["words_checked"] == 1
+    code, payload = run_cli(capsys, "rank", "--m", "2", "--k", "0")
+    assert code == 0 and payload["rank"] == payload["dimension"] == 1
+    code, payload = run_cli(capsys, "gram", "--m", "1", "--k", "0")
+    assert code == 0 and payload["words"] == ["e", "p", "p p", "p p p", "q", "q p", "q p p", "q q", "q q p", "q q q"]
+
+
 def test_cli_rank_force_lifts_the_cell_budget(capsys, monkeypatch):
     # the triangularity witness builds no matrix, so the cell budget does not apply to it
     code, payload = run_cli(capsys, "rank", "--m", "4", "--k", "3")

@@ -1,8 +1,10 @@
 """Property tests (Hypothesis): the scalar kernel against plain Fraction-pair
 arithmetic, element arithmetic against its expansion, the collapsed-block
-factorisation of state Grams, and operator norms of shift-representation
-matrices against an eigensolver oracle."""
+factorisation of state Grams, operator norms of shift-representation
+matrices against an eigensolver oracle, and parse/render round trips and
+normal forms over all four universes."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pqt import words as W
 from pqt.algebra import Element, GaussianRational, linear_combine
+from pqt.cli import parse_element, parse_word
 from pqt.oper import RepConfig, ShiftRepresentation, op_norm
 from pqt.states import Character, FreeProductState, StateConfig, Vacuum, gram_matrix, gram_psd_check
 from oracles import (
@@ -156,3 +159,36 @@ def test_op_norm_matches_eigh_on_bcs_elements(x):
     assert abs(res.value - ref) <= 1e-12 * ref
     if all(word and all(isinstance(item, W.FreeGen) for item in word) for word in x.terms):
         assert res.residual is not None
+
+
+# words of length <= 2 with generator indices <= 2, from every universe
+_WORDS = {universe: W.enumerate_words(2, 2, universe) for universe in W.UNIVERSES}
+_elements = st.sampled_from(W.UNIVERSES).flatmap(
+    lambda u: st.dictionaries(st.sampled_from(_WORDS[u]), _scalars, max_size=4).map(lambda terms: Element(u, terms))
+)
+_word_runs = st.sampled_from(W.UNIVERSES).flatmap(
+    lambda u: st.tuples(st.just(u), st.lists(st.sampled_from(_WORDS[u]), min_size=1, max_size=3), _scalars)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_elements)
+def test_parse_render_round_trip(x):
+    text = x.render()
+    assert parse_element(text, x.universe) == x
+    assert parse_element(text, x.universe).render() == text
+    for w in x.terms:
+        assert parse_word(W.render_word(x.universe, w), x.universe) == w
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_word_runs)
+def test_normal_form_is_idempotent(run):
+    universe, words, c = run
+    product = functools.reduce(functools.partial(W.word_mul, universe), words)
+    # bc words are single canonical items; elsewhere the words concatenate into a spelling that may need folding
+    spelling = product if universe == W.BC else sum(words, ())
+    x = Element(universe, {spelling: c})
+    assert list(x.terms) == ([product] if c else [])
+    again = Element(universe, x.terms)
+    assert again == x and list(again.terms) == list(x.terms)

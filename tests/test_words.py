@@ -6,7 +6,14 @@ import pytest
 
 from pqt import words as W
 from pqt.errors import LimitExceeded
-from oracles import bc_mul_by_rewriting, fg_reduce_fixpoint, pw_mul_by_rewriting, random_word
+from oracles import (
+    bc_mul_by_rewriting,
+    enumerate_by_universe,
+    fg_reduce_fixpoint,
+    normal_form_by_rewriting,
+    pw_mul_by_rewriting,
+    random_word,
+)
 
 B = W.BCElement
 T = W.t
@@ -152,11 +159,51 @@ def test_enumerate_words_bcs_counts_and_order():
         assert all(W.pw_len(w) <= m for w in listing)
 
 
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("universe", W.UNIVERSES)
+def test_enumerate_words_matches_per_universe_oracle(universe, k):
+    # bc and f2 do not read k; bcs with free letters stops at m = 3 (m = 4, k = 1 is already 117841 words)
+    for m in range(13 if universe == W.BC else 5):
+        if universe == W.BCS and m == 4 and k:
+            break
+        listing = W.enumerate_words(m, k, universe)
+        assert listing == enumerate_by_universe(m, k, universe), (m, k)
+        assert len(listing) == W.count_words(m, k, universe) == len(set(listing))
+        for w in listing:
+            assert W.is_word(universe, w) and normal_form_by_rewriting(universe, w) == w
+
+
+def test_enumerate_words_argument_contract():
+    # k = 0 leaves no free letters: the empty word on sinf, and the single blocks besides on bcs
+    assert W.enumerate_words(7, 0, W.SINF) == [()]
+    assert W.enumerate_words(2, 0, W.BCS) == [()] + [(b,) for b in W.bc_elements(6)[1:]]
+    for universe in W.UNIVERSES:
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            W.enumerate_words(-1, 1, universe)
+    for universe in (W.SINF, W.BCS):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            W.enumerate_words(1, -1, universe)
+    assert W.enumerate_words(1, -1, W.BC) == W.bc_elements(1)
+    assert len(W.enumerate_words(1, -1, W.F2)) == 5
+    with pytest.raises(ValueError, match="unknown universe"):
+        W.enumerate_words(1, 1, "z")
+
+
 def test_enumerate_words_rejects_oversized_requests():
     with pytest.raises(LimitExceeded):
         W.enumerate_words(50, 3, W.SINF)
     with pytest.raises(LimitExceeded):
         W.enumerate_words(6, 6, W.BCS, limit=10_000)
+    # the word budget covers the lists without free letters too
+    with pytest.raises(LimitExceeded, match="246051 words"):
+        W.enumerate_words(700, 0, W.BC)
+    with pytest.raises(LimitExceeded, match="406351 words"):
+        W.enumerate_words(300, 0, W.BCS)
+    with pytest.raises(LimitExceeded):
+        W.enumerate_words(12, 0, W.F2)
+    # the length/index guard applies only once there are free letters
+    assert len(W.enumerate_words(20, 0, W.BCS)) == 1891
+    assert len(W.enumerate_words(13, 0, W.SINF)) == 1
 
 
 def test_map_to_f2_pinned_values():
