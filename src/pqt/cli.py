@@ -28,7 +28,6 @@ from .errors import ExprSyntaxError, LimitExceeded, UniverseMismatch
 from . import words as W
 from .algebra import Element, GaussianRational, ONE, _collect
 from .embedding import (
-    DEFAULT_MAX_CELLS,
     Embedding,
     GammaSequence,
     gamma_by_name,
@@ -196,10 +195,6 @@ def _gamma(args) -> GammaSequence:
     return gamma_by_name(args.gamma)
 
 
-def _limit(args):
-    return None if getattr(args, "force", False) else W.DEFAULT_ENUMERATION_LIMIT
-
-
 def _cmd_normalize(args):
     el = parse_element(args.expr, args.universe)
     return {"command": "normalize", "result": el.render()}, 0
@@ -233,24 +228,23 @@ def _cmd_phi(args):
 
 
 def _cmd_lemma_support(args):
-    report = verify_support_bound(args.m, args.k, _gamma(args), limit=_limit(args))
+    report = verify_support_bound(args.m, args.k, _gamma(args))
     return report.to_dict(), 0 if report.passed else 1
 
 
 def _cmd_lemma_coord(args):
-    report = verify_coordinate_separation(args.m, args.k, _gamma(args), limit=_limit(args))
+    report = verify_coordinate_separation(args.m, args.k, _gamma(args))
     return report.to_dict(), 0 if report.passed else 1
 
 
 def _cmd_rank(args):
-    max_cells = None if args.force else DEFAULT_MAX_CELLS
-    report = injectivity_rank(args.m, args.k, _gamma(args), limit=_limit(args), max_cells=max_cells)
+    report = injectivity_rank(args.m, args.k, _gamma(args))
     return report.to_dict(), 0 if report.passed else 1
 
 
 def _cmd_inv_search(args):
     el = parse_element(args.expr, args.universe)
-    result = inverse_search(el, args.side, args.m, k_extra=args.k_extra, limit=_limit(args))
+    result = inverse_search(el, args.side, args.m, k_extra=args.k_extra)
     return result.to_dict(), 0 if result.found else 1
 
 
@@ -266,8 +260,8 @@ def _cmd_gram(args):
     if args.words:
         words = [parse_word(part, args.universe) for part in args.words.split(";") if part.strip()]
     else:
-        words = W.enumerate_words(args.m, args.k, args.universe, limit=_limit(args))
-    report = gram_psd_check(args.universe, words, cfg, max_cells=None if args.force else DEFAULT_MAX_CELLS)
+        words = W.enumerate_words(args.m, args.k, args.universe)
+    report = gram_psd_check(args.universe, words, cfg)
     return report.to_dict(), 0 if report.psd else 1
 
 
@@ -278,8 +272,8 @@ def _cmd_trace(args):
 
 def _check_dim(dim: int) -> None:
     # each d x d matrix of the shift representation holds d^2 complex cells
-    if dim**2 > DEFAULT_MAX_CELLS:
-        raise LimitExceeded(f"dim {dim} gives {dim}x{dim} matrices, over max_cells={DEFAULT_MAX_CELLS}")
+    if dim**2 > W.DEFAULT_MAX_CELLS:
+        raise LimitExceeded(f"dim {dim} gives {dim}x{dim} matrices, over max_cells={W.DEFAULT_MAX_CELLS}")
 
 
 def _cmd_rep_report(args):
@@ -425,7 +419,6 @@ def _build() -> tuple:
         sub.add_argument("--m", type=int, required=True)
         sub.add_argument("--k", type=int, required=True)
         sub.add_argument("--gamma", default="1/n")
-        sub.add_argument("--force", action="store_true", help="lift enumeration safety limits")
         sub.set_defaults(handler=handler)
 
     sub = new("inv-search", help="length-bounded one-sided inverse search")
@@ -434,7 +427,6 @@ def _build() -> tuple:
     sub.add_argument("--side", required=True, choices=("left", "right"))
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--k-extra", type=int, default=0)
-    sub.add_argument("--force", action="store_true")
     sub.set_defaults(handler=_cmd_inv_search)
 
     sub = new("moment", help="state moment of an element")
@@ -448,7 +440,6 @@ def _build() -> tuple:
     sub.add_argument("--m", type=int, default=2)
     sub.add_argument("--k", type=int, default=2)
     sub.add_argument("--words", help="explicit ';'-separated word list instead of an enumeration")
-    sub.add_argument("--force", action="store_true")
     _add_state_flags(sub)
     sub.set_defaults(handler=_cmd_gram)
 
@@ -467,10 +458,6 @@ def _build() -> tuple:
     sub.set_defaults(handler=_cmd_boundary_check)
 
     return parser, table
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
 
 
 def _emit(payload: dict) -> None:

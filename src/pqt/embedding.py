@@ -25,7 +25,6 @@ from .errors import LimitExceeded, UniverseMismatch
 from . import words as W
 from .algebra import Element, GaussianRational, ONE, ZERO, _collect, delta, unit, zero
 
-DEFAULT_MAX_CELLS = 2_000_000
 _RHS = -1  # sentinel column id for augmented systems
 
 
@@ -55,10 +54,8 @@ class GammaSequence:
         return cls(lambda n: value, str(value))
 
     @classmethod
-    def scaled_inverse_square(cls, value=Fraction(3, 2)) -> "GammaSequence":
-        value = Fraction(value)
-        name = "3/(2n^2)" if value == Fraction(3, 2) else f"({value})/n^2"
-        return cls(lambda n: value / (n * n), name)
+    def scaled_inverse_square(cls) -> "GammaSequence":
+        return cls(lambda n: Fraction(3, 2 * n * n), "3/(2n^2)")
 
 
 def gamma_by_name(text: str) -> GammaSequence:
@@ -147,19 +144,13 @@ class CheckReport:
         return out
 
 
-def verify_support_bound(
-    m: int,
-    k: int,
-    gamma: GammaSequence | None = None,
-    *,
-    limit: int | None = W.DEFAULT_ENUMERATION_LIMIT,
-) -> CheckReport:
+def verify_support_bound(m: int, k: int, gamma: GammaSequence | None = None) -> CheckReport:
     """Image of every length-m' word stays inside the length-m' filtration stage."""
     start = time.perf_counter()
     emb = Embedding(gamma)
     counterexample = None
     checked = terms = 0
-    for w in W.enumerate_words(m, k, W.SINF, limit=limit):
+    for w in W.enumerate_words(m, k, W.SINF):
         checked += 1
         image = emb.word_image(w)
         terms += len(image.terms)
@@ -179,13 +170,7 @@ def verify_support_bound(
     )
 
 
-def verify_coordinate_separation(
-    m: int,
-    k: int,
-    gamma: GammaSequence | None = None,
-    *,
-    limit: int | None = W.DEFAULT_ENUMERATION_LIMIT,
-) -> CheckReport:
+def verify_coordinate_separation(m: int, k: int, gamma: GammaSequence | None = None) -> CheckReport:
     """Coordinate at a length-m target word is nonzero exactly for that word.
 
     One pass over the candidates: the support of y's image must meet the
@@ -195,7 +180,7 @@ def verify_coordinate_separation(
     """
     start = time.perf_counter()
     emb = Embedding(gamma)
-    candidates = W.enumerate_words(m, k, W.SINF, limit=limit)
+    candidates = W.enumerate_words(m, k, W.SINF)
     targets = [w for w in candidates if len(w) == m]
     # free words double as product words, so targets are coordinate keys
     target_index = {w: t for t, w in enumerate(targets)}
@@ -320,25 +305,18 @@ def _triangular(w, image: Element) -> bool:
     )
 
 
-def injectivity_rank(
-    m: int,
-    k: int,
-    gamma: GammaSequence | None = None,
-    *,
-    limit: int | None = W.DEFAULT_ENUMERATION_LIMIT,
-    max_cells: int | None = DEFAULT_MAX_CELLS,
-) -> CheckReport:
+def injectivity_rank(m: int, k: int, gamma: GammaSequence | None = None) -> CheckReport:
     """Rank of the coordinate matrix (rows: the stage's basis words, columns: image support).
 
     When every image passes ``_triangular``, the columns at the basis words,
     ordered by length, form a triangular block with a nonzero diagonal, so
     the rank is the dimension and nothing is eliminated.  Otherwise the
     rank comes from exact elimination, and only that fallback, which
-    builds the matrix, is held to ``max_cells``.
+    builds the matrix, is held to ``W.DEFAULT_MAX_CELLS``.
     """
     start = time.perf_counter()
     emb = Embedding(gamma)
-    basis = W.enumerate_words(m, k, W.SINF, limit=limit)
+    basis = W.enumerate_words(m, k, W.SINF)
     images = [emb.word_image(w) for w in basis]
     support: set = set()
     for image in images:
@@ -346,8 +324,8 @@ def injectivity_rank(
     if all(map(_triangular, basis, images)):
         rank, pivots = len(basis), 0
     else:
-        if max_cells is not None and len(basis) * len(support) > max_cells:
-            raise LimitExceeded(f"coordinate matrix {len(basis)}x{len(support)} exceeds max_cells={max_cells}")
+        if len(basis) * len(support) > W.DEFAULT_MAX_CELLS:
+            raise LimitExceeded(f"coordinate matrix {len(basis)}x{len(support)} exceeds max_cells={W.DEFAULT_MAX_CELLS}")
         cols = sorted(support, key=lambda u: W.word_sort_key(W.BCS, u))
         col_of = {u: j for j, u in enumerate(cols)}
         rows = [{col_of[u]: c for u, c in image.terms.items()} for image in images]
@@ -404,14 +382,7 @@ class InverseSearchResult:
         return out
 
 
-def inverse_search(
-    a: Element,
-    side: str,
-    m: int,
-    *,
-    k_extra: int = 0,
-    limit: int | None = W.DEFAULT_ENUMERATION_LIMIT,
-) -> InverseSearchResult:
+def inverse_search(a: Element, side: str, m: int, *, k_extra: int = 0) -> InverseSearchResult:
     """Decide exactly whether a length-bounded one-sided inverse exists.
 
     Solves the coordinate linear system of a*x = 1 (or x*a = 1) over all
@@ -426,7 +397,7 @@ def inverse_search(
     start = time.perf_counter()
     uni = a.universe
     max_index = max((W.max_free_index(uni, w) for w in a.support()), default=0)
-    cands = W.enumerate_words(m, max(0, max_index + k_extra), uni, limit=limit)
+    cands = W.enumerate_words(m, max(0, max_index + k_extra), uni)
     block, rank, rank_aug, rows = _solve_unknown_block(ElementMatrix([[a]]), side, 0, cands)
     elapsed = (time.perf_counter() - start) * 1000.0
     x = None if block is None else block[0]
@@ -554,14 +525,7 @@ class MatrixInverseResult:
         return out
 
 
-def mat_inverse_search(
-    a: ElementMatrix,
-    side: str,
-    m: int,
-    *,
-    k_extra: int = 0,
-    limit: int | None = W.DEFAULT_ENUMERATION_LIMIT,
-) -> MatrixInverseResult:
+def mat_inverse_search(a: ElementMatrix, side: str, m: int) -> MatrixInverseResult:
     """Entrywise length-bounded search for a one-sided matrix inverse.
 
     A right inverse solves A X = I column by column; a left inverse X A = I
@@ -579,7 +543,7 @@ def mat_inverse_search(
         (W.max_free_index(uni, w) for row in a.entries for el in row for w in el.support()),
         default=0,
     )
-    cands = W.enumerate_words(m, max(0, max_index + k_extra), uni, limit=limit)
+    cands = W.enumerate_words(m, max_index, uni)
     solved: list = []
     stats = {"candidates": len(cands), "rows": 0, "pivots": 0}
     for index in range(n):

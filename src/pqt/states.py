@@ -32,7 +32,6 @@ from fractions import Fraction
 from .errors import LimitExceeded, UniverseMismatch
 from . import words as W
 from .algebra import Element, GaussianRational, ONE, ZERO
-from .embedding import DEFAULT_MAX_CELLS
 
 
 _F0 = Fraction(0)
@@ -253,7 +252,7 @@ class GramReport:
         return out
 
 
-def _block_gram_decide(words: list, s_state: Character, max_cells: int | None) -> tuple:
+def _block_gram_decide(words: list, s_state: Character) -> tuple:
     """PSD decision of a state Gram on the distinct collapsed blocks of its words.
 
     With d_i = chi(free letters of w_i) and c_i the collapse of w_i, the
@@ -263,7 +262,7 @@ def _block_gram_decide(words: list, s_state: Character, max_cells: int | None) -
     (Horn and Johnson, Matrix Analysis, 4.5) G is PSD iff that K is.  A
     violating minor of K maps to the first kept word of each block: G on
     those words is D_r K_sub D_r with D_r invertible, so it violates too.
-    K is held to ``max_cells`` before it is built.  Returns (is_psd,
+    K is held to the cell budget before it is built.  Returns (is_psd,
     violating minor of G or None, number of blocks).
     """
     first: dict = {}  # block -> index of its first kept word, in first-appearance order
@@ -272,27 +271,25 @@ def _block_gram_decide(words: list, s_state: Character, max_cells: int | None) -
         if s_state.moment_fraction(letters) != 0:
             first.setdefault(block, i)
     blocks = list(first)
-    _check_cells(len(blocks), max_cells)
+    _check_cells(len(blocks))
     K = [[GaussianRational(BC_STATE.moment_fraction(W.bc_mul(W.bc_star(ci), cj))) for cj in blocks] for ci in blocks]
     psd, minor = psd_decide(K)
     return psd, None if psd else sorted(first[blocks[i]] for i in minor), len(blocks)
 
 
-def _check_cells(n: int, max_cells: int | None) -> None:
-    if max_cells is not None and n * n > max_cells:
-        raise LimitExceeded(f"gram matrix {n}x{n} exceeds max_cells={max_cells}")
+def _check_cells(n: int) -> None:
+    if n * n > W.DEFAULT_MAX_CELLS:
+        raise LimitExceeded(f"gram matrix {n}x{n} exceeds max_cells={W.DEFAULT_MAX_CELLS}")
 
 
-def gram_psd_check(
-    universe: str, words: list, cfg: StateConfig | None = None, *, max_cells: int | None = DEFAULT_MAX_CELLS
-) -> GramReport:
+def gram_psd_check(universe: str, words: list, cfg: StateConfig | None = None) -> GramReport:
     """Exact positivity check of the state on span{delta_w : w in words}.
 
     On bc, sinf and bcs the decision is taken on the distinct collapsed
     blocks (``_block_gram_decide``), and no n x n matrix is built; on f2
     the trace's Gram is built and eliminated.  The matrix that is built,
-    blocks x blocks or n x n, is held to ``max_cells`` cells (None lifts
-    the budget); over it, LimitExceeded is raised before it is built.
+    blocks x blocks or n x n, is held to ``W.DEFAULT_MAX_CELLS`` cells;
+    over it, LimitExceeded is raised before it is built.
     """
     if universe not in W.UNIVERSES:
         raise ValueError(f"unknown universe {universe!r}")
@@ -302,10 +299,10 @@ def gram_psd_check(
     state = FreeProductState(cfg)
     stats = {"words": len(words)}
     if universe == W.F2:
-        _check_cells(len(words), max_cells)
+        _check_cells(len(words))
         psd, minor = psd_decide(gram_matrix(universe, words, state))
     else:
-        psd, minor, stats["blocks"] = _block_gram_decide(words, state.cfg.s_state, max_cells)
+        psd, minor, stats["blocks"] = _block_gram_decide(words, state.cfg.s_state)
     elapsed = (time.perf_counter() - start) * 1000.0
     return GramReport(
         universe=universe,

@@ -32,8 +32,10 @@ F2 = "f2"
 
 UNIVERSES = (BC, SINF, BCS, F2)
 
+# resource budgets; every check reads them here at call time, so rebinding one moves every check
 DEFAULT_BLOCK_FACTOR = 3
 DEFAULT_ENUMERATION_LIMIT = 200_000
+DEFAULT_MAX_CELLS = 2_000_000
 MAX_LENGTH = 12
 MAX_INDEX = 16
 
@@ -323,26 +325,26 @@ def bc_elements(max_exponent_sum: int) -> list:
 _F2_LETTERS = tuple(_F2_RANK)
 
 
-def _follow_table(m: int, k: int, universe: str, block_exponent_factor: int) -> dict:
+def _follow_table(m: int, k: int, universe: str) -> dict:
     """For each last letter (None for the empty word), the letters that may come next."""
     if universe == F2:
         # no letter next to its inverse
         follow = {(g, e): tuple(x for x in _F2_LETTERS if x != (g, -e)) for g, e in _F2_LETTERS}
         return {None: _F2_LETTERS, **follow}
     gens = tuple(FreeGen(i, s) for i in range(1, k + 1) for s in (False, True))
-    blocks = tuple(bc_elements(m * block_exponent_factor)[1:]) if universe == BCS else ()
+    blocks = tuple(bc_elements(m * DEFAULT_BLOCK_FACTOR)[1:]) if universe == BCS else ()
     # no two bicyclic blocks side by side
     return {None: gens + blocks, **dict.fromkeys(gens, gens + blocks), **dict.fromkeys(blocks, gens)}
 
 
-def count_words(m: int, k: int, universe: str, *, block_exponent_factor: int = DEFAULT_BLOCK_FACTOR) -> int:
+def count_words(m: int, k: int, universe: str) -> int:
     """Size of the enumeration without materialising it."""
     _check_universe(universe)
     if universe == BC:
         return (m + 1) * (m + 2) // 2
     if universe == F2:
         return 2 * 3**m - 1  # 1 + sum of 4 * 3^(i - 1) for i = 1..m
-    bound = m * block_exponent_factor if universe == BCS else 0
+    bound = m * DEFAULT_BLOCK_FACTOR if universe == BCS else 0
     n_free, n_bc = 2 * k, bound * (bound + 3) // 2  # sum of (s + 1) for s = 1..bound
     # words of the current length ending in a free letter (the empty word among them) or in a block
     free, block, total = 1, 0, 1
@@ -354,21 +356,16 @@ def count_words(m: int, k: int, universe: str, *, block_exponent_factor: int = D
     return total
 
 
-def enumerate_words(
-    m: int,
-    k: int,
-    universe: str,
-    *,
-    block_exponent_factor: int = DEFAULT_BLOCK_FACTOR,
-    limit: int | None = DEFAULT_ENUMERATION_LIMIT,
-) -> list:
+def enumerate_words(m: int, k: int, universe: str) -> list:
     """All words of length <= m with generator indices <= k, sorted.
 
     ``bc`` lists q^a p^b with a + b <= m and ``f2`` the reduced words;
     neither reads k.  On ``sinf`` and ``bcs``, k = 0 leaves no free
     letters.  For ``bcs`` the bicyclic blocks are capped at exponent sum
-    m * block_exponent_factor; the abstract length filtration is infinite,
-    so any finite enumeration has to bound exponents somewhere.
+    m * DEFAULT_BLOCK_FACTOR; the abstract length filtration is infinite,
+    so any finite enumeration has to bound exponents somewhere.  Lists
+    over the word budget, or with free letters past the length/index
+    guard, raise LimitExceeded before any word is built.
 
     Index-bounded enumeration is a sound basis for the verifiers built on
     it: every checked statement is uniform in the generator index, and a
@@ -381,15 +378,15 @@ def enumerate_words(
     if free_letters and k < 0:
         raise ValueError("k must be >= 0")
     # free letters let images grow like 2^m, so lists with them are held to the length/index guard
-    if limit is not None and free_letters and k >= 1 and (m > MAX_LENGTH or k > MAX_INDEX):
-        raise LimitExceeded(f"enumeration bounds m={m}, k={k} exceed the safety limits (pass limit=None to force)")
-    total = count_words(m, k, universe, block_exponent_factor=block_exponent_factor)
-    if limit is not None and total > limit:
-        raise LimitExceeded(f"enumeration would produce {total} words (limit {limit})")
+    if free_letters and k >= 1 and (m > MAX_LENGTH or k > MAX_INDEX):
+        raise LimitExceeded(f"enumeration bounds m={m}, k={k} exceed the safety limits (m <= {MAX_LENGTH}, k <= {MAX_INDEX})")
+    total = count_words(m, k, universe)
+    if total > DEFAULT_ENUMERATION_LIMIT:
+        raise LimitExceeded(f"enumeration would produce {total} words (limit {DEFAULT_ENUMERATION_LIMIT})")
     if universe == BC:
         return bc_elements(m)
 
-    follow = _follow_table(m, k, universe, block_exponent_factor)
+    follow = _follow_table(m, k, universe)
     words: list = [()]
     frontier: list = [()]
     for _ in range(m):

@@ -197,11 +197,25 @@ def test_cli_usage_and_parse_errors_are_json(capsys):
     for count in ("-3", "0"):
         code, payload = run_cli(capsys, "rep-report", "--count", count, "--dim", "16")
         assert code == 2 and payload["result"] == "error"
+    # no switch lifts the budgets
+    for argv in (
+        ["lemma-support", "--m", "2", "--k", "1"],
+        ["lemma-coord", "--m", "2", "--k", "1"],
+        ["rank", "--m", "2", "--k", "1"],
+        ["inv-search", "--universe", "bc", "--side", "right", "--m", "1", "p"],
+        ["gram", "--m", "1", "--k", "1"],
+    ):
+        code, payload = run_cli(capsys, *argv, "--force")
+        assert code == 2 and payload == {"result": "error", "message": "unrecognized arguments: --force"}, argv
 
 
 def test_cli_resource_limits_exit_three(capsys):
     code, payload = run_cli(capsys, "lemma-support", "--m", "50", "--k", "3")
     assert code == 3 and payload["result"] == "error"
+    for command, m in (("lemma-support", "50"), ("rank", "13")):
+        code, payload = run_cli(capsys, command, "--m", m, "--k", "1")
+        guard = f"enumeration bounds m={m}, k=1 exceed the safety limits (m <= 12, k <= 16)"
+        assert code == 3 and payload == {"result": "error", "message": guard}
     code, payload = run_cli(capsys, "gram", "--m", "4", "--k", "6")
     assert code == 3
     code, payload = run_cli(capsys, "gram", "--universe", "bc", "--m", "60")
@@ -245,11 +259,11 @@ def test_cli_word_list_arguments(capsys):
     assert code == 0 and payload["words"] == ["e", "p", "p p", "p p p", "q", "q p", "q p p", "q q", "q q p", "q q q"]
 
 
-def test_cli_rank_force_lifts_the_cell_budget(capsys, monkeypatch):
+def test_cli_rank_cell_budget_guards_only_elimination(capsys, monkeypatch):
     # the triangularity witness builds no matrix, so the cell budget does not apply to it
     code, payload = run_cli(capsys, "rank", "--m", "4", "--k", "3")
     assert code == 0 and payload["result"] == "pass" and payload["matrix_dims"] == [1555, 4473]
-    monkeypatch.setattr("pqt.cli.DEFAULT_MAX_CELLS", 100)
+    monkeypatch.setattr("pqt.words.DEFAULT_MAX_CELLS", 100)
     word_image = Embedding.word_image
     target = (T(1), T(1, True))
 
@@ -260,9 +274,7 @@ def test_cli_rank_force_lifts_the_cell_budget(capsys, monkeypatch):
 
     monkeypatch.setattr(Embedding, "word_image", tampered)
     code, payload = run_cli(capsys, "rank", "--m", "2", "--k", "1")
-    assert code == 3 and payload["result"] == "error"
-    code, payload = run_cli(capsys, "rank", "--m", "2", "--k", "1", "--force")
-    assert code == 0 and payload["result"] == "pass"
+    assert code == 3 and payload["message"] == "coordinate matrix 7x20 exceeds max_cells=100"
 
 
 def test_cli_unexpected_exception_is_json_with_exit_four(capsys, monkeypatch):

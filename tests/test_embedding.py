@@ -191,7 +191,9 @@ def test_injectivity_rank_values():
 
 def test_injectivity_rank_respects_cell_cap(monkeypatch):
     # the budget guards the coordinate matrix, which only the elimination fallback builds
-    assert injectivity_rank(3, 2, max_cells=100).passed
+    budget = W.DEFAULT_MAX_CELLS
+    monkeypatch.setattr(W, "DEFAULT_MAX_CELLS", 100)
+    assert injectivity_rank(3, 2).passed
     word_image = Embedding.word_image
     target = (T(1), T(2))
 
@@ -200,13 +202,14 @@ def test_injectivity_rank_respects_cell_cap(monkeypatch):
         return image + delta(W.BCS, (T(2), T(1))) if w == target else image
 
     monkeypatch.setattr(Embedding, "word_image", tampered)
-    with pytest.raises(LimitExceeded):
-        injectivity_rank(3, 2, max_cells=100)
-    assert injectivity_rank(3, 2, max_cells=None).stats["pivots"] == 85
+    with pytest.raises(LimitExceeded, match="exceeds max_cells=100"):
+        injectivity_rank(3, 2)
+    monkeypatch.setattr(W, "DEFAULT_MAX_CELLS", budget)
+    assert injectivity_rank(3, 2).stats["pivots"] == 85
 
 
 def test_injectivity_rank_larger_stage():
-    report = injectivity_rank(4, 3, max_cells=None)
+    report = injectivity_rank(4, 3)
     assert report.passed
     assert report.details["rank"] == report.details["dimension"] == 1555
     assert report.stats["pivots"] == 0

@@ -1,8 +1,8 @@
 """Property tests (Hypothesis): the scalar kernel against plain Fraction-pair
 arithmetic, element arithmetic against its expansion, the collapsed-block
 factorisation of state Grams, operator norms of shift-representation
-matrices against an eigensolver oracle, and parse/render round trips and
-normal forms over all four universes."""
+matrices against an eigensolver oracle, and the ring and star axioms,
+parse/render round trips and normal forms over all four universes."""
 
 import functools
 import math
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pqt import words as W
-from pqt.algebra import Element, GaussianRational, linear_combine
+from pqt.algebra import Element, GaussianRational, linear_combine, unit
 from pqt.cli import parse_element, parse_word
 from pqt.oper import RepConfig, ShiftRepresentation, op_norm
 from pqt.states import Character, FreeProductState, StateConfig, Vacuum, gram_matrix, gram_psd_check
@@ -163,12 +163,33 @@ def test_op_norm_matches_eigh_on_bcs_elements(x):
 
 # words of length <= 2 with generator indices <= 2, from every universe
 _WORDS = {universe: W.enumerate_words(2, 2, universe) for universe in W.UNIVERSES}
-_elements = st.sampled_from(W.UNIVERSES).flatmap(
-    lambda u: st.dictionaries(st.sampled_from(_WORDS[u]), _scalars, max_size=4).map(lambda terms: Element(u, terms))
-)
+
+
+def _elements_of(universe):
+    return st.dictionaries(st.sampled_from(_WORDS[universe]), _scalars, max_size=4).map(
+        lambda terms: Element(universe, terms)
+    )
+
+
+_elements = st.sampled_from(W.UNIVERSES).flatmap(_elements_of)
+_triples = st.sampled_from(W.UNIVERSES).flatmap(lambda u: st.tuples(*[_elements_of(u)] * 3, _scalars))
 _word_runs = st.sampled_from(W.UNIVERSES).flatmap(
     lambda u: st.tuples(st.just(u), st.lists(st.sampled_from(_WORDS[u]), min_size=1, max_size=3), _scalars)
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(triple=_triples)
+def test_ring_and_star_axioms(triple):
+    x, y, z, a = triple
+    one = unit(x.universe)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+    assert (x * y) * z == x * (y * z)
+    assert one * x == x == x * one
+    assert (x * y).star() == y.star() * x.star()
+    assert x.star().star() == x
+    assert x.scale(a).star() == x.star().scale(a.conjugate())
 
 
 @settings(max_examples=100, deadline=None)

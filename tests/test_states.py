@@ -187,10 +187,11 @@ def test_centered_alternating_products_vanish():
         assert state.moment(product) == ZERO
 
 
-def test_vacuum_degeneracy_on_enumeration():
+def test_vacuum_degeneracy_on_enumeration(monkeypatch):
     state = FreeProductState(VACUUM)
     character_zero = FreeProductState(StateConfig(s_state=Character(0)))
-    for w in W.enumerate_words(4, 2, W.BCS, block_exponent_factor=1):
+    monkeypatch.setattr(W, "DEFAULT_BLOCK_FACTOR", 1)
+    for w in W.enumerate_words(4, 2, W.BCS):
         val = state.word_moment(w)
         assert val == character_zero.word_moment(w)
         if any(isinstance(it, W.FreeGen) for it in w):
@@ -230,7 +231,7 @@ def test_gram_matches_truncated_matrix_state():
 
 
 def test_gram_psd_on_length_two_words():
-    words = W.enumerate_words(2, 2, W.BCS, block_exponent_factor=1)
+    words = W.enumerate_words(2, 2, W.BCS)
     assert gram_psd_check(W.BCS, words).psd
     assert gram_psd_check(W.BCS, words, VACUUM).psd
 

@@ -189,11 +189,13 @@ def test_enumerate_words_argument_contract():
         W.enumerate_words(1, 1, "z")
 
 
-def test_enumerate_words_rejects_oversized_requests():
-    with pytest.raises(LimitExceeded):
+def test_enumerate_words_rejects_oversized_requests(monkeypatch):
+    with pytest.raises(LimitExceeded, match=r"\(m <= 12, k <= 16\)"):
         W.enumerate_words(50, 3, W.SINF)
-    with pytest.raises(LimitExceeded):
-        W.enumerate_words(6, 6, W.BCS, limit=10_000)
+    with monkeypatch.context() as patch:
+        patch.setattr(W, "DEFAULT_ENUMERATION_LIMIT", 10_000)
+        with pytest.raises(LimitExceeded, match=r"\(limit 10000\)"):
+            W.enumerate_words(6, 6, W.BCS)
     # the word budget covers the lists without free letters too
     with pytest.raises(LimitExceeded, match="246051 words"):
         W.enumerate_words(700, 0, W.BC)
