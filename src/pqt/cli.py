@@ -349,11 +349,16 @@ def _check_config_value(action, key: str, value) -> None:
 
 def _apply_config(subparsers: dict, argv: list, config: dict) -> None:
     # config keys mirror the long flag names of the chosen command, whose
-    # name is the first positional token; values must already be final-typed
+    # name is the first positional token; values must already be final-typed,
+    # and a key naming no argument of the command is refused
     sub = subparsers.get(next((tok for tok in argv if not tok.startswith("-")), None))
     if sub is None:
         return  # argparse reports the missing or unknown command
     normalized = {key.replace("-", "_"): (key, value) for key, value in config.items()}
+    dests = {action.dest for action in sub._actions}
+    unknown = [key for dest, (key, _) in normalized.items() if dest not in dests]
+    if unknown:  # as argparse refuses an unknown flag
+        raise _UsageError(f"unrecognized config keys: {', '.join(unknown)}")
     for action in sub._actions:
         if action.dest in normalized:
             key, value = normalized[action.dest]

@@ -14,13 +14,21 @@ with no two bicyclic blocks adjacent.  The item count is the word's
 length.  ``sinf`` words are item tuples containing no bicyclic blocks,
 so they double as ``bcs`` words under the natural inclusion.
 
+Letters are interned: ``BCElement`` and ``FreeGen`` keep one instance
+per field value, so letter equality is identity and the hash is
+``object``'s.  Hashing and comparing word tuples, the dict keys of every
+element, then run in C.  The pools keep every distinct letter built in
+the process and never shrink, so they grow with the distinct letters
+built, not with the words or elements: thousands on the budgeted
+enumerations, at about 190 bytes a letter with its pool entry.
+
 All operations are pure functions of immutable values and safe to call
-concurrently.
+concurrently; a letter built by two threads at once is still one
+instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import LimitExceeded
@@ -40,16 +48,54 @@ MAX_LENGTH = 12
 MAX_INDEX = 16
 
 
-@dataclass(frozen=True, slots=True)
-class BCElement:
-    """q^a p^b in canonical form; (0, 0) is the identity.
+class _Letter:
+    """Interned immutable letter: one instance per value of ``_fields``.
 
-    Deliberately not a tuple subclass: words are dict keys, and item
-    equality has to be class-aware.
+    Equality and hashing are ``object``'s, by identity, which agrees with
+    value equality because no two instances share a value.
     """
 
-    a: int
-    b: int
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, so they return the interned instance
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+_BC_POOL: dict = {}
+
+
+class BCElement(_Letter):
+    """q^a p^b in canonical form; (0, 0) is the identity.
+
+    Interned: ``BCElement(a, b)`` returns the one instance with these
+    exponents, so ``==`` is ``is``.  Deliberately not a tuple subclass:
+    words are dict keys, and item equality has to be class-aware.
+    """
+
+    __slots__ = ("a", "b")
+    __match_args__ = _fields = ("a", "b")
+
+    def __new__(cls, a: int, b: int) -> "BCElement":
+        try:
+            return _BC_POOL[a, b]
+        except KeyError:
+            self = object.__new__(cls)
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
+            # setdefault keeps one instance when two threads build the same value at once
+            return _BC_POOL.setdefault((a, b), self)
 
     def is_identity(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -71,12 +117,24 @@ def bc_star(x: BCElement) -> BCElement:
     return BCElement(x.b, x.a)
 
 
-@dataclass(frozen=True, slots=True)
-class FreeGen:
-    """Free *-monoid generator t_index, or its star when ``starred``."""
+_FREE_POOL: dict = {}
 
-    index: int
-    starred: bool = False
+
+class FreeGen(_Letter):
+    """Free *-monoid generator t_index, or its star when ``starred``; interned like ``BCElement``."""
+
+    __slots__ = ("index", "starred")
+    __match_args__ = _fields = ("index", "starred")
+
+    def __new__(cls, index: int, starred: bool = False) -> "FreeGen":
+        try:
+            return _FREE_POOL[index, starred]
+        except KeyError:
+            self = object.__new__(cls)
+            starred = bool(starred)
+            object.__setattr__(self, "index", index)
+            object.__setattr__(self, "starred", starred)
+            return _FREE_POOL.setdefault((index, starred), self)
 
     def star(self) -> "FreeGen":
         return FreeGen(self.index, not self.starred)

@@ -339,3 +339,21 @@ def test_cli_config_values_are_type_checked(capsys, tmp_path):
     cfg.write_text(json.dumps({"universe": "f2"}))
     code, payload = run_cli(capsys, "normalize", "--config", str(cfg), "x x-")
     assert code == 0 and payload["result"] == "1*e"
+
+
+def test_cli_config_keys_must_name_arguments_of_the_command(capsys, tmp_path):
+    cfg = tmp_path / "flags.json"
+    # a key that names no flag is refused, as the flag itself is on the command line
+    cfg.write_text(json.dumps({"m": 2, "k": 1, "force": True, "mm": 5}))
+    code, payload = run_cli(capsys, "lemma-support", "--config", str(cfg))
+    assert code == 2 and payload == {"result": "error", "message": "unrecognized config keys: force, mm"}
+    cfg.write_text(json.dumps({"m": 2, "k": 1, "universe": "bcs"}))
+    code, payload = run_cli(capsys, "lemma-support", "--config", str(cfg))
+    assert code == 2 and payload == {"result": "error", "message": "unrecognized config keys: universe"}
+    # a key may name a positional, with dashes or underscores in flag names
+    cfg.write_text(json.dumps({"expr": "p q"}))
+    code, payload = run_cli(capsys, "normalize", "--config", str(cfg), "--universe", "bc")
+    assert code == 0 and payload["result"] == "1*e"
+    cfg.write_text(json.dumps({"k-extra": 1, "side": "right", "m": 1}))
+    code, payload = run_cli(capsys, "inv-search", "--config", str(cfg), "--universe", "bcs", "p")
+    assert code == 0 and payload["params"]["k_extra"] == 1

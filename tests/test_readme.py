@@ -9,19 +9,18 @@ from pqt.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w+)\n(.*?)^```", README, re.M | re.S)
+# the sh block made only of pqt commands; the install block runs pip and pytest
+(CLI_BLOCK,) = [body for lang, body in BLOCKS if lang == "sh" and body.startswith("pqt ")]
+CLI_ARGVS = [shlex.split(line.partition("#")[0])[1:] for line in CLI_BLOCK.splitlines()]
 
 
 def test_readme_cli_examples(capsys):
-    # the sh block made only of pqt commands; the install block runs pip and pytest
-    (body,) = [body for lang, body in BLOCKS if lang == "sh" and body.startswith("pqt ")]
-    for line in body.splitlines():
-        command, _, comment = line.partition("#")
-        argv = shlex.split(command)[1:]
+    for line, argv in zip(CLI_BLOCK.splitlines(), CLI_ARGVS):
         code = main(argv)
         payload = json.loads(capsys.readouterr().out)
         # the one documented infeasible search answers with exit 1
         assert code == (1 if argv[0] == "inv-search" else 0), line
-        comment = comment.strip()
+        comment = line.partition("#")[2].strip()
         if comment.startswith("{"):
             assert payload == json.loads(comment), line
         elif comment:

@@ -1,10 +1,16 @@
-"""Word kernel: normal forms, multiplication, involution, enumeration, maps."""
+"""Word kernel: interned letters, normal forms, multiplication, involution, enumeration, maps."""
 
+import copy
+import pickle
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pqt import words as W
+from pqt.cli import parse_word
 from pqt.errors import LimitExceeded
 from oracles import (
     bc_mul_by_rewriting,
@@ -263,3 +269,123 @@ def test_render_word():
     assert W.render_word(W.BCS, (B(2, 1), T(1, True), W.P)) == "q q p t1* p"
     assert W.render_word(W.F2, (("x", 1), ("y", -1))) == "x y-"
     assert W.render_word(W.BC, B(1, 2)) == "q p p"
+
+
+# -- interned letters ---------------------------------------------------------------
+
+
+def _canonical(it):
+    return B(it.a, it.b) if isinstance(it, B) else W.FreeGen(it.index, it.starred)
+
+
+def test_equal_letters_are_one_object_on_every_path():
+    assert B(0, 1) is W.P and B(a=1, b=0) is W.Q and B(0, 0) is W.BC_IDENTITY
+    assert W.FreeGen(3) is W.FreeGen(3, False) is W.FreeGen(index=3, starred=False) is T(3)
+    assert W.FreeGen(2, True) is T(2, True) is T(2).star() and T(2, True).star() is T(2)
+    assert W.FreeGen(1, 0) is W.FreeGen(1, False) and W.FreeGen(1, 1) is W.FreeGen(1, True)
+    assert type(W.FreeGen(4, 1).starred) is bool and type(W.FreeGen(5, 0).starred) is bool
+    assert W.bc_mul(W.Q, W.P) is B(1, 1) and W.bc_mul(W.P, W.Q) is W.BC_IDENTITY
+    assert W.bc_star(B(2, 3)) is B(3, 2)
+    word = W.normalize_items([W.Q, W.Q, W.P, T(1), W.P, W.Q, W.Q])
+    assert word[0] is B(2, 1) and word[1] is T(1) and word[2] is B(1, 0)
+    starred = W.pw_star((B(2, 1), T(1), W.P))
+    assert starred[0] is W.Q and starred[1] is T(1, True) and starred[2] is B(1, 2)
+    for universe in (W.SINF, W.BCS):
+        for w in W.enumerate_words(2, 2, universe):
+            assert all(it is _canonical(it) for it in w), w
+    assert all(x is _canonical(x) for x in W.enumerate_words(3, 0, W.BC))
+    assert parse_word("q q p", W.BC) is B(2, 1)
+    parsed = parse_word("q t2* p p t1", W.BCS)
+    assert parsed[0] is W.Q and parsed[1] is T(2, True) and parsed[2] is B(0, 2) and parsed[3] is T(1)
+
+
+def test_letter_copies_and_pickles_are_the_interned_object():
+    for letter in (W.P, B(3, 5), T(1), T(7, True)):
+        assert copy.copy(letter) is letter
+        assert copy.deepcopy(letter) is letter
+        assert pickle.loads(pickle.dumps(letter)) is letter
+    word = (B(2, 1), T(1), W.P)
+    assert all(x is y for x, y in zip(pickle.loads(pickle.dumps(word)), word))
+    assert all(x is y for x, y in zip(copy.deepcopy(word), word))
+
+
+def test_letters_are_immutable():
+    for letter, field in ((B(1, 2), "a"), (B(1, 2), "b"), (T(1), "index"), (T(1), "starred")):
+        with pytest.raises(AttributeError):
+            setattr(letter, field, 9)
+        with pytest.raises(AttributeError):
+            delattr(letter, field)
+    with pytest.raises(AttributeError):
+        W.P.extra = 1
+    assert B(1, 2).a == 1 and T(1).index == 1 and not T(1).starred
+
+
+def test_letter_repr_and_class_aware_equality():
+    assert repr(B(0, 1)) == "BCElement(a=0, b=1)"
+    assert repr(T(2, True)) == "FreeGen(index=2, starred=True)"
+    assert repr(W.FreeGen(3, 0)) == "FreeGen(index=3, starred=False)"
+    assert B(1, 0) != W.FreeGen(1, False) and B(1, 0) == B(1, 0)
+    assert isinstance(W.P, B) and isinstance(T(1), W.FreeGen)
+
+
+def test_letters_built_concurrently_are_one_object():
+    # values no other test builds, so every thread races to create them
+    values = [(10_000 + i, i % 3) for i in range(200)]
+    barrier = threading.Barrier(8)
+    results: list = [None] * 8
+
+    def build(slot):
+        barrier.wait()
+        results[slot] = [(B(a, b), W.FreeGen(a, b == 1)) for a, b in values]
+
+    threads = [threading.Thread(target=build, args=(slot,)) for slot in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so lookups and inserts interleave
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    first = results[0]
+    for other in results[1:]:
+        assert all(x is y and u is v for (x, u), (y, v) in zip(first, other))
+    assert len({id(x) for x, _ in first}) == len({id(u) for _, u in first}) == 200
+
+
+def _fields(it):
+    # a letter as plain data: class name and field values
+    if isinstance(it, B):
+        return ("BCElement", it.a, it.b)
+    if isinstance(it, W.FreeGen):
+        return ("FreeGen", it.index, it.starred)
+    return it  # an f2 letter is already a plain tuple
+
+
+def _word_fields(universe, w):
+    return _fields(w) if universe == W.BC else tuple(map(_fields, w))
+
+
+_letters = st.one_of(
+    st.builds(B, st.integers(0, 2), st.integers(0, 2)),
+    st.builds(W.FreeGen, st.integers(1, 2), st.sampled_from([False, True, 0, 1])),
+)
+_UNIVERSE_WORDS = {
+    W.BC: st.builds(B, st.integers(0, 2), st.integers(0, 2)),
+    W.SINF: st.lists(st.builds(W.FreeGen, st.integers(1, 2), st.booleans()), max_size=3).map(tuple),
+    W.BCS: st.lists(_letters, max_size=4).map(W.normalize_items),
+    W.F2: st.lists(st.sampled_from([("x", 1), ("x", -1), ("y", 1), ("y", -1)]), max_size=4).map(W.fg_normalize),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), universe=st.sampled_from(W.UNIVERSES), x=_letters, y=_letters)
+def test_equality_is_equality_of_fields(data, universe, x, y):
+    assert (x == y) == (x is y) == (_fields(x) == _fields(y))
+    if x == y:
+        assert hash(x) == hash(y)
+    u, v = data.draw(_UNIVERSE_WORDS[universe]), data.draw(_UNIVERSE_WORDS[universe])
+    same = _word_fields(universe, u) == _word_fields(universe, v)
+    assert (u == v) == same
+    assert ({u: 1}.get(v) == 1) == same
