@@ -295,9 +295,20 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    # --help: the text goes to stderr, and stdout keeps its one JSON object
+    def print_help(self, file=None):
+        super().print_help(sys.stderr if file is None else file)
+
+    def exit(self, status=0, message=None):
+        raise _HelpRequested(self.prog)
 
     def _parse_optional(self, arg_string):
         # an expression may open with a negative scalar, as in '-1/2*q'
@@ -355,7 +366,7 @@ def _apply_config(subparsers: dict, argv: list, config: dict) -> None:
     if sub is None:
         return  # argparse reports the missing or unknown command
     normalized = {key.replace("-", "_"): (key, value) for key, value in config.items()}
-    dests = {action.dest for action in sub._actions}
+    dests = {action.dest for action in sub._actions if not isinstance(action, argparse._HelpAction)}
     unknown = [key for dest, (key, _) in normalized.items() if dest not in dests]
     if unknown:  # as argparse refuses an unknown flag
         raise _UsageError(f"unrecognized config keys: {', '.join(unknown)}")
@@ -489,6 +500,9 @@ def _main(argv: list) -> int:
         _emit({"result": "error", "message": str(e)})
         print(f"usage error: {e}", file=sys.stderr)
         return 2
+    except _HelpRequested as e:
+        _emit({"result": "help", "prog": str(e)})
+        return 0
     try:
         payload, code = args.handler(args)
     except ExprSyntaxError as e:

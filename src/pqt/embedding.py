@@ -10,6 +10,12 @@ finite length filtrations and exactly:
 * the restriction of the map to each filtration stage has full rank,
 * a single generator can be recovered from its image and delta_p.
 
+The first three read only which words an image contains.  Every gamma_n
+is positive, so each coefficient of an image is a sum of positive
+products and none cancels: the support is the set of words the letter
+choices reach, whatever gamma is.  ``Embedding.word_support`` builds it
+without scalars; exact images come only from ``word_image``.
+
 It also hosts length-bounded one-sided inverse searches (the desk-scale
 finiteness and infiniteness demonstrations) and matrices over elements.
 """
@@ -82,6 +88,7 @@ class Embedding:
     def __init__(self, gamma: GammaSequence | None = None):
         self.gamma = gamma if gamma is not None else GammaSequence.reciprocal()
         self._word_images: dict = {(): unit(W.BCS)}
+        self._word_supports: dict = {(): frozenset([()])}
 
     def generator_image(self, g: W.FreeGen) -> Element:
         weight = GaussianRational(self.gamma(g.index))
@@ -110,6 +117,24 @@ class Embedding:
         for u, c in prefix.terms.items():
             pairs += ((mul(u, base), c), (u + letter, c * weight))
         return Element._raw(W.BCS, _collect(pairs))
+
+    def word_support(self, w) -> frozenset:
+        """The words of ``word_image(w)``, by the letter choices of ``_extend``.
+
+        No coefficient of an image cancels, as every gamma_n is positive, so
+        this is ``set(word_image(w).terms)`` without a scalar.  The caller
+        checks gamma: this never evaluates it.
+        """
+        cached = self._word_supports.get(w)
+        if cached is None:
+            g = w[-1]
+            base = (W.Q if g.starred else W.P,)
+            letter = (g,)
+            mul = W.pw_mul
+            prefix = self.word_support(w[:-1])
+            cached = frozenset([mul(u, base) for u in prefix] + [u + letter for u in prefix])
+            self._word_supports[w] = cached
+        return cached
 
     def apply(self, x: Element) -> Element:
         if x.universe != W.SINF:
@@ -144,17 +169,35 @@ class CheckReport:
         return out
 
 
-def verify_support_bound(m: int, k: int, gamma: GammaSequence | None = None) -> CheckReport:
-    """Image of every length-m' word stays inside the length-m' filtration stage."""
-    start = time.perf_counter()
+def _stage(m: int, k: int, gamma: GammaSequence | None) -> tuple:
+    """The verifiers' embedding and the stage's words, with gamma checked.
+
+    Supports do not depend on gamma only because every gamma_n is positive,
+    so gamma(1), ..., gamma(k) are evaluated, in order, whenever the stage
+    has a letter: the ValueError names the first bad index.
+    """
     emb = Embedding(gamma)
+    words = W.enumerate_words(m, k, W.SINF)
+    if m >= 1:
+        for n in range(1, k + 1):
+            emb.gamma(n)
+    return emb, words
+
+
+def verify_support_bound(m: int, k: int, gamma: GammaSequence | None = None) -> CheckReport:
+    """Image of every length-m' word stays inside the length-m' filtration stage.
+
+    Reads the gamma-independent supports (``Embedding.word_support``).
+    """
+    start = time.perf_counter()
+    emb, words = _stage(m, k, gamma)
     counterexample = None
     checked = terms = 0
-    for w in W.enumerate_words(m, k, W.SINF):
+    for w in words:
         checked += 1
-        image = emb.word_image(w)
-        terms += len(image.terms)
-        got = image.support_max_len()
+        support = emb.word_support(w)
+        terms += len(support)
+        got = max(map(len, support))
         if got > len(w):
             counterexample = {"word": W.render_word(W.SINF, w), "word_len": len(w), "support_len": got}
             break
@@ -174,31 +217,31 @@ def verify_coordinate_separation(m: int, k: int, gamma: GammaSequence | None = N
     """Coordinate at a length-m target word is nonzero exactly for that word.
 
     One pass over the candidates: the support of y's image must meet the
-    targets in {y} when |y| = m and nowhere otherwise.  A failure reports
+    targets in {y} when |y| = m and nowhere otherwise.  Only the reported
+    coefficient of a violation needs the exact image.  A failure reports
     the violating pair that comes first in (target, candidate) order, and
     ``pairs_checked`` counts the pairs up to it in that order.
     """
     start = time.perf_counter()
-    emb = Embedding(gamma)
-    candidates = W.enumerate_words(m, k, W.SINF)
+    emb, candidates = _stage(m, k, gamma)
     targets = [w for w in candidates if len(w) == m]
     # free words double as product words, so targets are coordinate keys
     target_index = {w: t for t, w in enumerate(targets)}
-    first = None  # (target index, candidate index, coefficient) of the first violation
+    first = None  # (target index, candidate index) of the first violation
     terms = 0
     for c, y in enumerate(candidates):
-        image = emb.word_image(y)
-        terms += len(image.terms)
-        bad = [target_index[u] for u in image.terms if u != y and u in target_index]
-        if len(y) == m and y not in image.terms:
+        support = emb.word_support(y)
+        terms += len(support)
+        bad = [target_index[u] for u in support if u != y and u in target_index]
+        if len(y) == m and y not in support:
             bad.append(target_index[y])
         if bad and (first is None or min(bad) < first[0]):
-            t = min(bad)
-            first = (t, c, image.coordinate(targets[t]))
+            first = (min(bad), c)
     counterexample = None
     pairs = len(targets) * len(candidates)
     if first is not None:
-        t, c, coeff = first
+        t, c = first
+        coeff = emb.word_image(candidates[c]).coordinate(targets[t])
         counterexample = {
             "target": W.render_word(W.SINF, targets[t]),
             "candidate": W.render_word(W.SINF, candidates[c]),
@@ -294,41 +337,39 @@ def sparse_solve(rows: list, ncols: int):
 # -- rank of the embedding on a filtration stage -------------------------------
 
 
-def _triangular(w, image: Element) -> bool:
+def _triangular(w, support: frozenset) -> bool:
     """w is in its image's support, and every other free word there is shorter."""
-    if w not in image.terms:
+    if w not in support:
         return False
     n = len(w)
     free = W.FreeGen
     return not any(
-        len(u) >= n and u != w and all(type(x) is free for x in u) for u in image.terms
+        len(u) >= n and u != w and all(type(x) is free for x in u) for u in support
     )
 
 
 def injectivity_rank(m: int, k: int, gamma: GammaSequence | None = None) -> CheckReport:
     """Rank of the coordinate matrix (rows: the stage's basis words, columns: image support).
 
-    When every image passes ``_triangular``, the columns at the basis words,
-    ordered by length, form a triangular block with a nonzero diagonal, so
-    the rank is the dimension and nothing is eliminated.  Otherwise the
-    rank comes from exact elimination, and only that fallback, which
-    builds the matrix, is held to ``W.DEFAULT_MAX_CELLS``.
+    When every image passes ``_triangular``, which reads only supports, the
+    columns at the basis words, ordered by length, form a triangular block
+    with a nonzero diagonal, so the rank is the dimension and nothing is
+    eliminated.  Otherwise the rank comes from exact elimination of the
+    exact images, and only that fallback, which builds the matrix, is held
+    to ``W.DEFAULT_MAX_CELLS``.
     """
     start = time.perf_counter()
-    emb = Embedding(gamma)
-    basis = W.enumerate_words(m, k, W.SINF)
-    images = [emb.word_image(w) for w in basis]
-    support: set = set()
-    for image in images:
-        support.update(image.terms)
-    if all(map(_triangular, basis, images)):
+    emb, basis = _stage(m, k, gamma)
+    supports = [emb.word_support(w) for w in basis]
+    support: set = set().union(*supports)
+    if all(map(_triangular, basis, supports)):
         rank, pivots = len(basis), 0
     else:
         if len(basis) * len(support) > W.DEFAULT_MAX_CELLS:
             raise LimitExceeded(f"coordinate matrix {len(basis)}x{len(support)} exceeds max_cells={W.DEFAULT_MAX_CELLS}")
         cols = sorted(support, key=lambda u: W.word_sort_key(W.BCS, u))
         col_of = {u: j for j, u in enumerate(cols)}
-        rows = [{col_of[u]: c for u, c in image.terms.items()} for image in images]
+        rows = [{col_of[u]: c for u, c in emb.word_image(w).terms.items()} for w in basis]
         rank = pivots = sparse_rank(rows, len(cols))
     elapsed = (time.perf_counter() - start) * 1000.0
     return CheckReport(
@@ -337,7 +378,7 @@ def injectivity_rank(m: int, k: int, gamma: GammaSequence | None = None) -> Chec
         result="pass" if rank == len(basis) else "fail",
         details={"rank": rank, "dimension": len(basis), "matrix_dims": [len(basis), len(support)]},
         elapsed_ms=elapsed,
-        stats={"words": len(basis), "image_terms": sum(len(image.terms) for image in images), "pivots": pivots},
+        stats={"words": len(basis), "image_terms": sum(map(len, supports)), "pivots": pivots},
     )
 
 

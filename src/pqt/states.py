@@ -146,39 +146,39 @@ def _psd_int(m_rows: list) -> tuple:
 
     One-step Bareiss scaling keeps every intermediate entry an integer;
     positive pivots are eliminated, a zero pivot must head an all-zero
-    row, anything else certifies a negative principal minor.
+    row, anything else certifies a negative principal minor.  Each step
+    keeps the matrix symmetric, so only its upper triangle is held:
+    T[i][j - i] is the entry (i, j) for j >= i.
     """
     idx = list(range(len(m_rows)))
-    M = [row[:] for row in m_rows]
+    T = [row[i:] for i, row in enumerate(m_rows)]
     processed: list = []
     prev = 1
-    while M:
-        p = M[0][0]
+    while T:
+        row0 = T[0]
+        p = row0[0]
         if p < 0:
             return False, processed + [idx[0]]
         if p == 0:
-            bad = next((j for j in range(1, len(M)) if M[0][j] != 0), None)
+            bad = next((j for j in range(1, len(row0)) if row0[j] != 0), None)
             if bad is not None:
                 return False, processed + [idx[0], idx[bad]]
-            M = [row[1:] for row in M[1:]]
+            T = T[1:]
             idx = idx[1:]
             continue
-        size = len(M)
-        row0 = M[0]
-        newM = []
-        for i in range(1, size):
-            Mi = M[i]
-            mi0 = Mi[0]
+        newT = []
+        for i in range(1, len(row0)):
+            a = row0[i]
             newrow = []
-            for j in range(1, size):
-                val = p * Mi[j] - mi0 * row0[j]
-                assert val % prev == 0
-                newrow.append(val // prev)
-            newM.append(newrow)
+            for v, b in zip(T[i], row0[i:]):
+                val, rem = divmod(p * v - a * b, prev)
+                assert rem == 0
+                newrow.append(val)
+            newT.append(newrow)
         processed.append(idx[0])
         idx = idx[1:]
         prev = p
-        M = newM
+        T = newT
     return True, None
 
 

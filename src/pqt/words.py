@@ -452,5 +452,9 @@ def enumerate_words(m: int, k: int, universe: str) -> list:
         if not frontier:
             break
         words.extend(frontier)
-    words.sort(key=lambda w: word_sort_key(universe, w))
+    # on sinf and f2 each letter is one token and the follow table lists
+    # letters in rank order, so the lengths come out sorted; bcs blocks are
+    # several tokens each
+    if universe == BCS:
+        words.sort(key=lambda w: word_sort_key(universe, w))
     return words

@@ -9,12 +9,13 @@ literal two-level centered expansion, the coordinate lemma by the scan
 over every (target, candidate) pair on the images the embedding builds,
 the operator norm by a Hermitian eigensolver instead of an SVD, positive
 semidefiniteness by the signs of all principal minors instead of an
-elimination, the collapsed blocks of a state Gram by rewriting the
-word's bicyclic letters, and bounded word lists by one generator per
-universe instead of one frontier kernel.  Dense ranks, determinants and
-the inverse searches' systems are computed over plain (re, im) Fraction
-pairs, read from library scalars through ``.re``/``.im``, never with the
-library's scalar arithmetic.
+elimination, or by the fraction-free elimination on the full matrix
+instead of its upper triangle, the collapsed blocks of a state Gram by
+rewriting the word's bicyclic letters, and bounded word lists by one
+generator per universe instead of one frontier kernel.  Dense ranks,
+determinants and the inverse searches' systems are computed over plain
+(re, im) Fraction pairs, read from library scalars through
+``.re``/``.im``, never with the library's scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -473,6 +474,57 @@ def psd_by_principal_minors(h) -> bool:
         for size in range(1, n + 1)
         for idx in itertools.combinations(range(n), size)
     )
+
+
+def psd_int_full(m_rows: list) -> tuple:
+    """Fraction-free symmetric elimination that keeps the whole matrix.
+
+    The reference for ``pqt.states._psd_int``, which keeps only the upper
+    triangle: the same pivots in the same order, so the same verdict and
+    the same violating minor.
+    """
+    idx = list(range(len(m_rows)))
+    M = [row[:] for row in m_rows]
+    processed: list = []
+    prev = 1
+    while M:
+        p = M[0][0]
+        if p < 0:
+            return False, processed + [idx[0]]
+        if p == 0:
+            bad = next((j for j in range(1, len(M)) if M[0][j] != 0), None)
+            if bad is not None:
+                return False, processed + [idx[0], idx[bad]]
+            M = [row[1:] for row in M[1:]]
+            idx = idx[1:]
+            continue
+        size = len(M)
+        row0 = M[0]
+        newM = []
+        for i in range(1, size):
+            Mi = M[i]
+            mi0 = Mi[0]
+            newrow = []
+            for j in range(1, size):
+                val = p * Mi[j] - mi0 * row0[j]
+                assert val % prev == 0
+                newrow.append(val // prev)
+            newM.append(newrow)
+        processed.append(idx[0])
+        idx = idx[1:]
+        prev = p
+        M = newM
+    return True, None
+
+
+def patch_word_images(monkeypatch, tampered) -> None:
+    """Make ``tampered(self, w)`` the embedding's word images, for every reader.
+
+    The verifiers read supports, not images, so ``word_support`` is patched
+    to the support of the tampered image: a tamper reaches both paths.
+    """
+    monkeypatch.setattr(Embedding, "word_image", tampered)
+    monkeypatch.setattr(Embedding, "word_support", lambda self, w: frozenset(self.word_image(w).terms))
 
 
 # -- the coordinate systems of the inverse searches, recounted -----------------------

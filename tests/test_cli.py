@@ -10,7 +10,7 @@ from pqt.algebra import delta
 from pqt.cli import main, parse_element, parse_word
 from pqt.embedding import Embedding
 from pqt.errors import ExprSyntaxError
-from oracles import random_element
+from oracles import patch_word_images, random_element
 
 B = W.BCElement
 T = W.t
@@ -272,7 +272,7 @@ def test_cli_rank_cell_budget_guards_only_elimination(capsys, monkeypatch):
         image = word_image(self, w)
         return image + delta(W.BCS, (T(1, True), T(1))) if w == target else image
 
-    monkeypatch.setattr(Embedding, "word_image", tampered)
+    patch_word_images(monkeypatch, tampered)
     code, payload = run_cli(capsys, "rank", "--m", "2", "--k", "1")
     assert code == 3 and payload["message"] == "coordinate matrix 7x20 exceeds max_cells=100"
 
@@ -339,6 +339,25 @@ def test_cli_config_values_are_type_checked(capsys, tmp_path):
     cfg.write_text(json.dumps({"universe": "f2"}))
     code, payload = run_cli(capsys, "normalize", "--config", str(cfg), "x x-")
     assert code == 0 and payload["result"] == "1*e"
+
+
+def test_cli_help_keeps_the_json_contract(capsys, tmp_path):
+    import subprocess
+    import sys
+
+    # contract: help text on stderr, one JSON object {"result": "help", "prog": ...} on stdout, exit 0
+    for argv, prog in ((["normalize", "--help"], "pqt normalize"), (["-h"], "pqt"), (["rank", "--m", "1", "-h"], "pqt rank")):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0 and out == json.dumps({"result": "help", "prog": prog}) + "\n"
+        assert err.startswith(f"usage: {prog}")
+    proc = subprocess.run([sys.executable, "-m", "pqt.cli", "mul", "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0 and json.loads(proc.stdout) == {"result": "help", "prog": "pqt mul"}
+    # a help key in a config file names no argument of the command
+    cfg = tmp_path / "flags.json"
+    cfg.write_text(json.dumps({"help": "x"}))
+    code, payload = run_cli(capsys, "normalize", "--config", str(cfg), "--universe", "bc", "p")
+    assert code == 2 and payload == {"result": "error", "message": "unrecognized config keys: help"}
 
 
 def test_cli_config_keys_must_name_arguments_of_the_command(capsys, tmp_path):

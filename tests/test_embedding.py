@@ -21,7 +21,14 @@ from pqt.embedding import (
     verify_support_bound,
 )
 from pqt.errors import LimitExceeded
-from oracles import coordinate_separation_pairwise, dense_rank, inverse_system_counts, phi_by_expansion, random_element
+from oracles import (
+    coordinate_separation_pairwise,
+    dense_rank,
+    inverse_system_counts,
+    patch_word_images,
+    phi_by_expansion,
+    random_element,
+)
 
 B = W.BCElement
 T = W.t
@@ -155,7 +162,7 @@ def test_coordinate_separation_reports_the_first_violation(monkeypatch, injected
                 image = image + delta(W.BCS, u).scale(c)
         return image
 
-    monkeypatch.setattr(Embedding, "word_image", tampered)
+    patch_word_images(monkeypatch, tampered)
     got = verify_coordinate_separation(2, 2)
     assert not got.passed
     _same_report(got, coordinate_separation_pairwise(2, 2))
@@ -174,6 +181,21 @@ def test_gamma_rescaling_does_not_change_verifier_outcomes():
     scaled = GammaSequence(lambda n: Fraction(7, 3) / n, "7/(3n)")
     for verifier in (verify_support_bound, verify_coordinate_separation):
         assert verifier(2, 2, GammaSequence.reciprocal()).passed == verifier(2, 2, scaled).passed
+
+
+@pytest.mark.parametrize("verifier", [verify_support_bound, verify_coordinate_separation, injectivity_rank])
+def test_verifiers_check_gamma_up_to_k(verifier):
+    # supports are gamma-free only because gamma is positive, so each verifier checks gamma(1..k)
+    bad_at_2 = GammaSequence(lambda n: -1 if n == 2 else Fraction(1, n), "bad at 2")
+    with pytest.raises(ValueError, match=r"gamma\(2\) = -1 must be positive"):
+        verifier(2, 3, bad_at_2)
+    zero_from_3 = GammaSequence(lambda n: 0 if n >= 3 else 1, "zero from 3")
+    with pytest.raises(ValueError, match=r"gamma\(3\) = 0 must be positive"):
+        verifier(1, 4, zero_from_3)
+    # a bad index above k, or a stage with no letter, evaluates nothing bad
+    assert verifier(2, 1, bad_at_2).passed
+    assert verifier(3, 2, zero_from_3).passed
+    assert verifier(0, 3, bad_at_2).passed
 
 
 def test_injectivity_rank_values():
@@ -201,7 +223,7 @@ def test_injectivity_rank_respects_cell_cap(monkeypatch):
         image = word_image(self, w)
         return image + delta(W.BCS, (T(2), T(1))) if w == target else image
 
-    monkeypatch.setattr(Embedding, "word_image", tampered)
+    patch_word_images(monkeypatch, tampered)
     with pytest.raises(LimitExceeded, match="exceeds max_cells=100"):
         injectivity_rank(3, 2)
     monkeypatch.setattr(W, "DEFAULT_MAX_CELLS", budget)
@@ -261,7 +283,7 @@ def test_injectivity_rank_falls_back_to_elimination(monkeypatch, target, tamper,
         image = word_image(self, w)
         return tamper(self, w, image) if w == target else image
 
-    monkeypatch.setattr(Embedding, "word_image", tampered)
+    patch_word_images(monkeypatch, tampered)
     report = injectivity_rank(2, 2)
     emb = Embedding()
     images = [emb.word_image(w) for w in W.enumerate_words(2, 2, W.SINF)]

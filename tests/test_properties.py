@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from pqt import words as W
 from pqt.algebra import Element, GaussianRational, linear_combine, unit
 from pqt.cli import parse_element, parse_word
+from pqt.embedding import Embedding, GammaSequence
 from pqt.oper import RepConfig, ShiftRepresentation, op_norm
 from pqt.states import Character, FreeProductState, StateConfig, Vacuum, gram_matrix, gram_psd_check
 from oracles import (
@@ -22,6 +23,7 @@ from oracles import (
     complex_product,
     distinct_kept_blocks,
     op_norm_eigh,
+    phi_by_expansion,
     product_by_expansion,
 )
 
@@ -213,3 +215,21 @@ def test_normal_form_is_idempotent(run):
     assert list(x.terms) == ([product] if c else [])
     again = Element(universe, x.terms)
     assert again == x and list(again.terms) == list(x.terms)
+
+
+_positive = st.fractions(min_value=Fraction(1, 12), max_value=6, max_denominator=12)
+_gammas = st.one_of(
+    _positive.map(GammaSequence.constant),
+    _positive.map(lambda c: GammaSequence(lambda n: c / n, f"{c}/n")),
+    _positive.map(lambda c: GammaSequence(lambda n: c / (n * n), f"{c}/n^2")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=_gammas, m=st.integers(0, 4), k=st.integers(0, 3), data=st.data())
+def test_word_support_is_the_image_support(gamma, m, k, data):
+    # no coefficient cancels for positive gamma, so the scalar-free support is the image's
+    words = W.enumerate_words(m, k, W.SINF)
+    emb = Embedding(gamma)
+    for w in data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=6)):
+        assert emb.word_support(w) == set(emb.word_image(w).terms) == set(phi_by_expansion(w, gamma)), w

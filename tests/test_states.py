@@ -9,6 +9,7 @@ import pytest
 from pqt import words as W
 from pqt.algebra import Element, GaussianRational, ONE, ZERO, delta, linear_combine, unit, zero
 from pqt.states import (
+    _psd_int,
     Character,
     DyadicShiftState,
     FreeProductState,
@@ -26,6 +27,7 @@ from oracles import (
     distinct_kept_blocks,
     moment_two_level,
     psd_by_principal_minors,
+    psd_int_full,
     random_element,
     random_scalar,
     random_word,
@@ -353,6 +355,42 @@ def test_psd_decide_fuzzed_against_eigenvalues():
         assert psd == (eigs.min() > 0), (eigs, [[str(e) for e in row] for row in G])
         if not psd:
             assert minor and sorted(minor) == minor
+
+
+def _random_hermitian(rng, n):
+    """Small exact Hermitian matrices with zero pivots, zero rows and negative diagonals."""
+    mode = rng.randrange(3)
+    if mode == 0:  # sparse symmetric integers: zero and negative pivots
+        G = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                G[i][j] = G[j][i] = rng.choice((-2, -1, 0, 0, 0, 1, 2))
+        return [[GaussianRational(v) for v in row] for row in G]
+    if mode == 1:  # B^T B of a rank-deficient B: PSD, with zero pivots that head zero rows
+        b = [[rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        return [[GaussianRational(sum(r[i] * r[j] for r in b)) for j in range(n)] for i in range(n)]
+    G = [[ZERO] * n for _ in range(n)]  # complex Hermitian, realified by psd_decide
+    for i in range(n):
+        for j in range(i, n):
+            v = random_scalar(rng) if rng.random() < 0.6 else ZERO
+            G[i][j] = GaussianRational(v.re) if i == j else v
+            G[j][i] = G[i][j].conjugate()
+    return G
+
+
+def test_psd_decide_matches_the_full_matrix_kernel(monkeypatch):
+    # the upper-triangle elimination against the full-matrix reference kernel
+    rng = random.Random(2024)
+    mats = [_random_hermitian(rng, rng.randint(1, 6)) for _ in range(1500)]
+    mats.append(_random_hermitian(random.Random(7), 20))
+    # integer matrices with a zero pivot: heading a zero row, a nonzero row, and later
+    for K in ([[0, 0, 0], [0, 1, 1], [0, 1, 1]], [[0, 1], [1, 0]], [[1, 0, 2], [0, 0, 0], [2, 0, 3]]):
+        assert _psd_int(K) == psd_int_full(K)
+    got = [psd_decide(G) for G in mats]
+    monkeypatch.setattr("pqt.states._psd_int", psd_int_full)
+    assert got == [psd_decide(G) for G in mats]
+    verdicts = [psd for psd, _ in got]
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_psd_decide_complex_hermitian():
