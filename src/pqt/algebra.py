@@ -289,9 +289,6 @@ class Element:
     def support(self):
         return self.terms.keys()
 
-    def support_max_len(self) -> int:
-        return max((W.word_len(self.universe, w) for w in self.terms), default=0)
-
     def is_zero(self) -> bool:
         return not self.terms
 

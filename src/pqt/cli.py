@@ -186,7 +186,7 @@ def parse_element(text: str, universe: str) -> Element:
 
 
 def _state_config(args) -> StateConfig:
-    if getattr(args, "vacuum", False):
+    if args.vacuum:
         return StateConfig(s_state=Vacuum())
     return StateConfig(s_state=Character(Fraction(args.z)))
 
@@ -227,18 +227,8 @@ def _cmd_phi(args):
     return {"command": "phi", "gamma": emb.gamma.name, "result": emb.apply(el).render()}, 0
 
 
-def _cmd_lemma_support(args):
-    report = verify_support_bound(args.m, args.k, _gamma(args))
-    return report.to_dict(), 0 if report.passed else 1
-
-
-def _cmd_lemma_coord(args):
-    report = verify_coordinate_separation(args.m, args.k, _gamma(args))
-    return report.to_dict(), 0 if report.passed else 1
-
-
-def _cmd_rank(args):
-    report = injectivity_rank(args.m, args.k, _gamma(args))
+def _cmd_verifier(args):
+    report = args.verifier(args.m, args.k, _gamma(args))
     return report.to_dict(), 0 if report.passed else 1
 
 
@@ -426,16 +416,17 @@ def _build() -> tuple:
     sub.add_argument("--gamma", default="1/n")
     sub.set_defaults(handler=_cmd_phi)
 
-    for name, handler in (
-        ("lemma-support", _cmd_lemma_support),
-        ("lemma-coord", _cmd_lemma_coord),
-        ("rank", _cmd_rank),
+    # the verifier is looked up when the parser is built, so a wrapped module global is the one called
+    for name, verifier in (
+        ("lemma-support", "verify_support_bound"),
+        ("lemma-coord", "verify_coordinate_separation"),
+        ("rank", "injectivity_rank"),
     ):
         sub = new(name, help=f"run the {name} verifier")
         sub.add_argument("--m", type=int, required=True)
         sub.add_argument("--k", type=int, required=True)
         sub.add_argument("--gamma", default="1/n")
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=_cmd_verifier, verifier=globals()[verifier])
 
     sub = new("inv-search", help="length-bounded one-sided inverse search")
     _add_universe(sub)

@@ -433,17 +433,13 @@ def inverse_search(a: Element, side: str, m: int, *, k_extra: int = 0) -> Invers
     """
     if a.is_zero():
         raise ValueError("cannot search for an inverse of the zero element")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     start = time.perf_counter()
-    uni = a.universe
-    max_index = max((W.max_free_index(uni, w) for w in a.support()), default=0)
-    cands = W.enumerate_words(m, max(0, max_index + k_extra), uni)
-    block, rank, rank_aug, rows = _solve_unknown_block(ElementMatrix([[a]]), side, 0, cands)
+    blocks, rank, rank_aug, stats = _inverse_blocks(((a,),), side, m, k_extra)
+    x = None if blocks is None else blocks[0][0]
     elapsed = (time.perf_counter() - start) * 1000.0
-    x = None if block is None else block[0]
-    stats = {"candidates": len(cands), "rows": rows, "pivots": rank}
-    return InverseSearchResult(block is not None, x, side, uni, m, k_extra, len(cands), rank, rank_aug, elapsed, stats)
+    return InverseSearchResult(
+        blocks is not None, x, side, a.universe, m, k_extra, stats["candidates"], rank, rank_aug, elapsed, stats
+    )
 
 
 # -- matrices over elements -----------------------------------------------------
@@ -505,41 +501,58 @@ def mat_mul(a: ElementMatrix, b: ElementMatrix) -> ElementMatrix:
     return ElementMatrix(out)
 
 
-def _solve_unknown_block(a: ElementMatrix, side: str, index: int, cands: list) -> tuple:
-    """Solve for one unknown block of a one-sided inverse X of the square A.
+def _inverse_blocks(entries: Sequence[Sequence[Element]], side: str, m: int, k_extra: int) -> tuple:
+    """Solve for a one-sided inverse X of the square matrix A, block by block.
 
-    The block is column ``index`` of X in A X = I for side "right", row
-    ``index`` of X in X A = I for side "left".  Each of its n entries is a
-    combination of the candidate words; the system's rows are the
-    coordinates (r, u) of the n products, the right-hand side is the
-    identity's column.  Returns (the n solved entries | None, rank,
-    augmented rank, number of system rows); the rank is the number of
-    elimination pivots.
+    Block ``index`` is column ``index`` of X in A X = I for side "right",
+    row ``index`` of X in X A = I for side "left".  Each of its n entries
+    is a combination of the candidate words of length <= m whose generator
+    indices are bounded by those in A plus ``k_extra``.  The system's rows
+    are the coordinates (r, u) of the n products, built once from word
+    products; only the right-hand side, 1 on identity row ``index``,
+    depends on the block, and ``sparse_solve`` eliminates a copy.  Returns
+    (the solved blocks | None, rank, augmented rank, stats): the ranks are
+    the last block's, the rank is its number of elimination pivots, and
+    stats sums rows and pivots over the blocks solved.
     """
-    uni, n, ncand = a.universe, a.rows, len(cands)
-    identity = W.identity_word(uni)
-    row_of: dict = {(r, identity): r for r in range(n)}
-    rows: list = [{_RHS: ONE} if r == index else {} for r in range(n)]
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    uni, n = entries[0][0].universe, len(entries)
+    max_index = max((W.max_free_index(uni, w) for row in entries for el in row for w in el.terms), default=0)
+    cands = W.enumerate_words(m, max(0, max_index + k_extra), uni)
+    ncand, mul = len(cands), W.word_mul
+    row_of: dict = {(r, W.identity_word(uni)): r for r in range(n)}
+    rows: list = [{} for _ in range(n)]
     for j in range(n):
         for w_ix, w in enumerate(cands):
-            dw = delta(uni, w)
             col_id = j * ncand + w_ix
             for r in range(n):
-                prod = a[r, j] * dw if side == "right" else dw * a[j, r]
-                for u, coeff in prod.terms.items():
+                if side == "right":
+                    prod = _collect([(mul(uni, u, w), c) for u, c in entries[r][j].terms.items()])
+                else:
+                    prod = _collect([(mul(uni, w, u), c) for u, c in entries[j][r].terms.items()])
+                for u, coeff in prod.items():
                     i = row_of.get((r, u))
                     if i is None:
                         i = row_of[r, u] = len(rows)
                         rows.append({})
                     rows[i][col_id] = coeff
-    solution, rank, rank_aug = sparse_solve(rows, n * ncand)
-    if solution is None:
-        return None, rank, rank_aug, len(rows)
-    terms: list = [{} for _ in range(n)]
-    for col, c in solution.items():
-        j, w_ix = divmod(col, ncand)
-        terms[j][cands[w_ix]] = c
-    return [Element(uni, t) for t in terms], rank, rank_aug, len(rows)
+    stats = {"candidates": ncand, "rows": 0, "pivots": 0}
+    blocks: list = []
+    for index in range(n):
+        rows[index][_RHS] = ONE
+        solution, rank, rank_aug = sparse_solve(rows, n * ncand)
+        del rows[index][_RHS]
+        stats["rows"] += len(rows)
+        stats["pivots"] += rank
+        if solution is None:
+            return None, rank, rank_aug, stats
+        terms: list = [[] for _ in range(n)]
+        for col, c in solution.items():
+            j, w_ix = divmod(col, ncand)
+            terms[j].append((cands[w_ix], c))
+        blocks.append([Element._raw(uni, _collect(t)) for t in terms])
+    return blocks, rank, rank_aug, stats
 
 
 @dataclass
@@ -570,34 +583,13 @@ def mat_inverse_search(a: ElementMatrix, side: str, m: int) -> MatrixInverseResu
     """Entrywise length-bounded search for a one-sided matrix inverse.
 
     A right inverse solves A X = I column by column; a left inverse X A = I
-    row by row.  Each small system is solved exactly; any infeasible block
-    makes the whole search infeasible.
+    row by row.  Every block is solved exactly on one coefficient system;
+    any infeasible block makes the whole search infeasible.
     """
     if a.rows != a.cols:
         raise ValueError("inverse search needs a square matrix")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     start = time.perf_counter()
-    uni = a.universe
-    n = a.rows
-    max_index = max(
-        (W.max_free_index(uni, w) for row in a.entries for el in row for w in el.support()),
-        default=0,
-    )
-    cands = W.enumerate_words(m, max_index, uni)
-    solved: list = []
-    stats = {"candidates": len(cands), "rows": 0, "pivots": 0}
-    for index in range(n):
-        block, rank, _, rows = _solve_unknown_block(a, side, index, cands)
-        stats["rows"] += rows
-        stats["pivots"] += rank
-        if block is None:
-            return MatrixInverseResult(False, None, side, m, len(cands), (time.perf_counter() - start) * 1000.0, stats)
-        solved.append(block)
-
-    if side == "right":
-        entries = [[solved[c][r] for c in range(n)] for r in range(n)]
-    else:
-        entries = [[solved[r][c] for c in range(n)] for r in range(n)]
-    x = ElementMatrix(entries)
-    return MatrixInverseResult(True, x, side, m, len(cands), (time.perf_counter() - start) * 1000.0, stats)
+    blocks, _, _, stats = _inverse_blocks(a.entries, side, m, 0)
+    x = None if blocks is None else ElementMatrix(blocks if side == "left" else list(zip(*blocks)))
+    elapsed = (time.perf_counter() - start) * 1000.0
+    return MatrixInverseResult(x is not None, x, side, m, stats["candidates"], elapsed, stats)

@@ -161,6 +161,10 @@ GOLDEN = [
     (['inv-search', '--universe', 'bcs', '--side', 'left', '--m', '1', '1*e + 1/2*t2'], 1, '{"check": "inverse-search", "params": {"side": "left", "universe": "bcs", "m": 1, "k_extra": 0}, "result": "infeasible", "candidates": 14, "rank": 14, "rank_augmented": 15}'),
     (['inv-search', '--universe', 'sinf', '--side', 'right', '--m', '2', '3*e'], 0, '{"check": "inverse-search", "params": {"side": "right", "universe": "sinf", "m": 2, "k_extra": 0}, "result": "found", "candidates": 1, "rank": 1, "rank_augmented": 1, "solution": "1/3*e"}'),
     (['inv-search', '--universe', 'sinf', '--side', 'left', '--m', '2', '1*e + 2*t1'], 1, '{"check": "inverse-search", "params": {"side": "left", "universe": "sinf", "m": 2, "k_extra": 0}, "result": "infeasible", "candidates": 7, "rank": 7, "rank_augmented": 8}'),
+    (['inv-search', '--universe', 'bc', '--side', 'right', '--m', '2', '1+2i*p'], 0, '{"check": "inverse-search", "params": {"side": "right", "universe": "bc", "m": 2, "k_extra": 0}, "result": "found", "candidates": 6, "rank": 5, "rank_augmented": 5, "solution": "1/5-2/5i*q"}'),
+    (['inv-search', '--universe', 'bcs', '--side', 'left', '--m', '1', '--k-extra', '1', '2*q'], 0, '{"check": "inverse-search", "params": {"side": "left", "universe": "bcs", "m": 1, "k_extra": 1}, "result": "found", "candidates": 12, "rank": 10, "rank_augmented": 10, "solution": "1/2*p"}'),
+    (['inv-search', '--universe', 'f2', '--side', 'right', '--m', '2', 'x y'], 0, '{"check": "inverse-search", "params": {"side": "right", "universe": "f2", "m": 2, "k_extra": 0}, "result": "found", "candidates": 17, "rank": 17, "rank_augmented": 17, "solution": "1*y- x-"}'),
+    (['inv-search', '--universe', 'f2', '--side', 'left', '--m', '2', '1*e + x'], 1, '{"check": "inverse-search", "params": {"side": "left", "universe": "f2", "m": 2, "k_extra": 0}, "result": "infeasible", "candidates": 17, "rank": 17, "rank_augmented": 18}'),
 ]
 
 
@@ -285,6 +289,24 @@ def test_cli_unexpected_exception_is_json_with_exit_four(capsys, monkeypatch):
     code, payload = run_cli(capsys, "trace", "x")
     assert code == 4
     assert payload == {"result": "error", "message": "RuntimeError: handler defect"}
+
+
+def test_cli_verifier_commands_call_the_module_globals(capsys, monkeypatch):
+    # a wrapper installed on pqt.cli after import, as the benchmark tracer installs its own
+    import pqt.cli
+
+    called = []
+    for name in ("verify_support_bound", "verify_coordinate_separation", "injectivity_rank"):
+
+        def wrapped(*args, _verifier=getattr(pqt.cli, name), _name=name):
+            called.append(_name)
+            return _verifier(*args)
+
+        monkeypatch.setattr(pqt.cli, name, wrapped)
+    for command in ("lemma-support", "lemma-coord", "rank"):
+        code, payload = run_cli(capsys, command, "--m", "1", "--k", "1")
+        assert code == 0 and payload["result"] == "pass"
+    assert called == ["verify_support_bound", "verify_coordinate_separation", "injectivity_rank"]
 
 
 def test_cli_subprocess_entry_point():

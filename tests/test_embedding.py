@@ -382,18 +382,18 @@ def _el(universe, terms):
     return Element(universe, {w: GaussianRational(*c) if isinstance(c, tuple) else c for w, c in terms.items()})
 
 
-@pytest.mark.parametrize(
-    "a, side, m, k_extra",
-    [
-        (delta(W.BC, W.Q), "right", 6, 0),  # infeasible
-        (_el(W.BC, {W.BC_IDENTITY: 2, B(1, 1): (0, Fraction(1, 5))}), "right", 3, 0),  # found, complex
-        (delta(W.BC, B(1, 1)), "left", 2, 0),  # rank below the candidate count
-        (_el(W.SINF, {(): 1, (T(1),): -1}), "right", 3, 0),
-        (_el(W.SINF, {(): (Fraction(2, 3), -1), (T(1), T(2, True)): 1}), "left", 2, 0),
-        (_el(W.BCS, {(W.P,): (Fraction(1, 2), Fraction(1, 3))}), "right", 1, 1),  # found, rank deficient
-        (_el(W.BCS, {(): 1, (T(1),): -1}), "right", 1, 0),
-    ],
-)
+STATS_CASES = [
+    (delta(W.BC, W.Q), "right", 6, 0),  # infeasible
+    (_el(W.BC, {W.BC_IDENTITY: 2, B(1, 1): (0, Fraction(1, 5))}), "right", 3, 0),  # found, complex
+    (delta(W.BC, B(1, 1)), "left", 2, 0),  # rank below the candidate count
+    (_el(W.SINF, {(): 1, (T(1),): -1}), "right", 3, 0),
+    (_el(W.SINF, {(): (Fraction(2, 3), -1), (T(1), T(2, True)): 1}), "left", 2, 0),
+    (_el(W.BCS, {(W.P,): (Fraction(1, 2), Fraction(1, 3))}), "right", 1, 1),  # found, rank deficient
+    (_el(W.BCS, {(): 1, (T(1),): -1}), "right", 1, 0),
+]
+
+
+@pytest.mark.parametrize("a, side, m, k_extra", STATS_CASES)
 def test_inverse_search_stats_match_recount(a, side, m, k_extra):
     result = inverse_search(a, side, m, k_extra=k_extra)
     k = max(W.max_free_index(a.universe, w) for w in a.support()) + k_extra
@@ -412,6 +412,26 @@ def test_mat_inverse_search_stats_match_recount():
     rows, rank = inverse_system_counts([list(row) for row in a.entries], "right", cands)
     assert result.found and result.stats == {"candidates": len(cands), "rows": 2 * rows, "pivots": 2 * rank}
     assert "stats" not in result.to_dict()
+
+
+@pytest.mark.parametrize(
+    "a, side, m",
+    [(a, side, m) for a, side, m, _ in STATS_CASES] + [(_el(W.F2, {(("x", 1), ("y", 1)): (1, 2)}), "right", 2)],
+)
+def test_mat_inverse_search_of_one_entry_is_inverse_search(a, side, m):
+    one = inverse_search(a, side, m)
+    mat = mat_inverse_search(ElementMatrix([[a]]), side, m)
+    assert mat.found == one.found and mat.candidates == one.candidates and mat.stats == one.stats
+    assert (mat.matrix[0, 0] if mat.found else None) == one.solution
+
+
+def test_mat_inverse_search_fails_on_a_later_block():
+    # diag(e, q) over bc: column 0 of a right inverse is (e, 0), column 1 needs q x = e
+    a = ElementMatrix([[unit(W.BC), zero(W.BC)], [zero(W.BC), delta(W.BC, W.Q)]])
+    result = mat_inverse_search(a, "right", 3)
+    assert inverse_system_counts([list(row) for row in a.entries], "right", W.bc_elements(3)) == (21, 20)
+    assert not result.found and result.matrix is None
+    assert result.stats == {"candidates": 10, "rows": 2 * 21, "pivots": 2 * 20}
 
 
 def test_sparse_kernels_against_dense_oracle():
