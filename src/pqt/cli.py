@@ -29,7 +29,6 @@ from . import words as W
 from .algebra import Element, GaussianRational, ONE, _collect
 from .embedding import (
     Embedding,
-    GammaSequence,
     gamma_by_name,
     injectivity_rank,
     inverse_search,
@@ -57,22 +56,6 @@ _WORD_GENS = {
 }
 
 
-def _parse_scalar_text(text: str, pos: int) -> GaussianRational:
-    m = _SCALAR_RE.fullmatch(text)
-    if not m:
-        raise ExprSyntaxError(f"bad scalar {text!r}", pos)
-    try:
-        re_part = Fraction(m.group("re"))
-        im_part = Fraction(0)
-        if m.group("im"):
-            im_part = Fraction(m.group("im"))
-            if m.group("sign") == "-":
-                im_part = -im_part
-    except ZeroDivisionError:
-        raise ExprSyntaxError(f"zero denominator in scalar {text!r}", pos)
-    return GaussianRational(re_part, im_part)
-
-
 def _parse_gen(tok: str, universe: str, pos: int):
     if universe in (W.BC, W.BCS):
         if tok == "p":
@@ -95,64 +78,43 @@ def _parse_gen(tok: str, universe: str, pos: int):
     raise ExprSyntaxError(f"token {tok!r} is not a generator of universe {universe!r} (allowed: {allowed})", pos)
 
 
-def _build_word(gens: list, universe: str):
-    if universe == W.BC:
-        out = W.BC_IDENTITY
-        for g in gens:
-            out = W.bc_mul(out, g)
-        return out
-    if universe == W.SINF:
-        return tuple(gens)
-    if universe == W.BCS:
-        return W.normalize_items(gens)
-    return W.fg_normalize(gens)
-
-
-def _chunks(text: str) -> list:
+def _chunks(text: str, universe: str) -> list:
+    W._check_universe(universe)  # before any syntax error, so an unknown universe fails one way
     return [(m.group(), m.start()) for m in re.finditer(r"\S+", text)]
+
+
+def _word(chunks: list, universe: str):
+    """The word spelled by (token, position) chunks, in the universe's normal form."""
+    gens = []
+    for tok, pos in chunks:
+        if tok != "e":
+            gens.append(_parse_gen(tok, universe, pos))
+        elif len(chunks) > 1:
+            raise ExprSyntaxError("'e' stands alone; it cannot be mixed with generators", pos)
+    if universe == W.F2:
+        return W.fg_normalize(gens)
+    word = W.normalize_items(gens)
+    if universe == W.BC:  # p and q fold to one block, or to none
+        return word[0] if word else W.BC_IDENTITY
+    return word
 
 
 def parse_word(text: str, universe: str):
     """Parse a single word (no scalars, no sums)."""
-    chunks = _chunks(text)
+    chunks = _chunks(text, universe)
     if not chunks:
         raise ExprSyntaxError("empty word", 0)
-    if len(chunks) == 1 and chunks[0][0] == "e":
-        return W.identity_word(universe)
-    gens = []
-    for tok, pos in chunks:
-        if tok == "e":
-            raise ExprSyntaxError("'e' stands alone; it cannot be mixed with generators", pos)
-        gens.append(_parse_gen(tok, universe, pos))
-    return _build_word(gens, universe)
+    return _word(chunks, universe)
 
 
 def parse_element(text: str, universe: str) -> Element:
     """Parse a linear combination of words over the given universe."""
-    if universe not in W.UNIVERSES:
-        raise ValueError(f"unknown universe {universe!r}")
-    chunks = _chunks(text)
+    chunks = _chunks(text, universe)
     if not chunks:
         raise ExprSyntaxError("empty expression", 0)
-
     pairs: list = []
-    i = 0
-    sign = 1
-    first = True
-    while i < len(chunks):
-        if not first:
-            tok, pos = chunks[i]
-            if tok == "+":
-                sign = 1
-            elif tok == "-":
-                sign = -1
-            else:
-                raise ExprSyntaxError(f"expected '+' or '-' between terms, found {tok!r}", pos)
-            i += 1
-            if i == len(chunks):
-                raise ExprSyntaxError("dangling operator at end of expression", pos)
-        first = False
-
+    i, sign = 0, 1
+    while True:
         tok, pos = chunks[i]
         scalar = ONE
         if tok[0].isdigit() or (tok[0] in "+-" and len(tok) > 1 and tok[1].isdigit()):
@@ -160,26 +122,24 @@ def parse_element(text: str, universe: str) -> Element:
             rest = tok[m.end():]
             if not rest.startswith("*") or len(rest) < 2:
                 raise ExprSyntaxError(f"scalar must be glued to a generator with '*', as in '1/2*t1' (got {tok!r})", pos)
-            scalar = _parse_scalar_text(tok[: m.end()], pos)
+            try:
+                scalar = GaussianRational(Fraction(m["re"]), Fraction((m["sign"] or "") + (m["im"] or "0")))
+            except ZeroDivisionError:
+                raise ExprSyntaxError(f"zero denominator in scalar {tok[: m.end()]!r}", pos)
             tok = rest[1:]
-
-        gens = []
-        if tok == "e":
-            word_done = True
-        else:
-            gens.append(_parse_gen(tok, universe, pos))
-            word_done = False
-        i += 1
-        while not word_done and i < len(chunks) and chunks[i][0] not in ("+", "-"):
-            tok, pos = chunks[i]
-            if tok == "e":
-                raise ExprSyntaxError("'e' stands alone; it cannot be mixed with generators", pos)
-            gens.append(_parse_gen(tok, universe, pos))
-            i += 1
-
-        word = W.identity_word(universe) if not gens else _build_word(gens, universe)
-        pairs.append((word, scalar * sign))
-    return Element._raw(universe, _collect(pairs))
+        # a term is its first token and, unless that is 'e', the tokens up to the next operator
+        end = i + 1
+        while tok != "e" and end < len(chunks) and chunks[end][0] not in ("+", "-"):
+            end += 1
+        pairs.append((_word([(tok, pos)] + chunks[i + 1 : end], universe), scalar * sign))
+        if end == len(chunks):
+            return Element._raw(universe, _collect(pairs))
+        tok, pos = chunks[end]
+        if tok not in ("+", "-"):
+            raise ExprSyntaxError(f"expected '+' or '-' between terms, found {tok!r}", pos)
+        if end + 1 == len(chunks):
+            raise ExprSyntaxError("dangling operator at end of expression", pos)
+        i, sign = end + 1, 1 if tok == "+" else -1
 
 
 # -- command handlers -----------------------------------------------------------
@@ -188,11 +148,11 @@ def parse_element(text: str, universe: str) -> Element:
 def _state_config(args) -> StateConfig:
     if args.vacuum:
         return StateConfig(s_state=Vacuum())
-    return StateConfig(s_state=Character(Fraction(args.z)))
-
-
-def _gamma(args) -> GammaSequence:
-    return gamma_by_name(args.gamma)
+    try:
+        z = Fraction(args.z)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in --z value {args.z!r}")
+    return StateConfig(s_state=Character(z))
 
 
 def _cmd_normalize(args):
@@ -223,12 +183,12 @@ def _cmd_phi(args):
     bound = sum(2 ** len(w) for w in el.terms)
     if bound > W.DEFAULT_ENUMERATION_LIMIT:
         raise LimitExceeded(f"image may have {bound} terms (limit {W.DEFAULT_ENUMERATION_LIMIT})")
-    emb = Embedding(_gamma(args))
+    emb = Embedding(gamma_by_name(args.gamma))
     return {"command": "phi", "gamma": emb.gamma.name, "result": emb.apply(el).render()}, 0
 
 
 def _cmd_verifier(args):
-    report = args.verifier(args.m, args.k, _gamma(args))
+    report = args.verifier(args.m, args.k, gamma_by_name(args.gamma))
     return report.to_dict(), 0 if report.passed else 1
 
 
@@ -268,7 +228,7 @@ def _check_dim(dim: int) -> None:
 
 def _cmd_rep_report(args):
     _check_dim(args.dim)
-    report = convergence_report(args.count, RepConfig(dim=args.dim, max_index=max(args.count, 1)))
+    report = convergence_report(args.count, RepConfig(dim=args.dim))
     return report.to_dict(), 0
 
 

@@ -74,7 +74,10 @@ def gamma_by_name(text: str) -> GammaSequence:
     if text in ("3/(2n^2)", "3/(2n2)"):
         return GammaSequence.scaled_inverse_square()
     if text.startswith("const:"):
-        return GammaSequence.constant(Fraction(text[len("const:"):]))
+        try:
+            return GammaSequence.constant(Fraction(text[len("const:"):]))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in gamma {text!r}")
     raise ValueError(f"unknown gamma sequence {text!r} (use 1/n, 1, 3/(2n^2) or const:<rational>)")
 
 

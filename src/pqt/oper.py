@@ -33,6 +33,13 @@ class RepConfig:
             raise ValueError(f"max_index must be >= 1, got {self.max_index}")
 
 
+def _free_fill(n: int, d: int) -> np.ndarray:
+    """The d x d matrix of t_n: a deterministic trigonometric fill."""
+    j = np.arange(d, dtype=float)[:, None]
+    k = np.arange(d, dtype=float)[None, :]
+    return (np.cos(n + 3.0 * j + 7.0 * k) + 1j * np.sin(2.0 * n + 5.0 * j + 11.0 * k)) / math.sqrt(d)
+
+
 class ShiftRepresentation:
     """Matrices for generators and, multiplicatively/linearly, for elements."""
 
@@ -59,10 +66,7 @@ class ShiftRepresentation:
             raise ValueError(f"generator index {n} outside 1..{self.cfg.max_index}")
         base = self._free.get(n)
         if base is None:
-            d = self.cfg.dim
-            j = np.arange(d, dtype=float)[:, None]
-            k = np.arange(d, dtype=float)[None, :]
-            base = (np.cos(n + 3.0 * j + 7.0 * k) + 1j * np.sin(2.0 * n + 5.0 * j + 11.0 * k)) / math.sqrt(d)
+            base = _free_fill(n, self.cfg.dim)
             base.flags.writeable = False  # handed out as is, so callers cannot corrupt the cache
             self._free[n] = base
         return base.conj().T if starred else base
@@ -194,7 +198,7 @@ def convergence_report(count: int, cfg: RepConfig | None = None) -> ConvergenceR
     rows = []
     residuals = []
     for n in range(1, count + 1):
-        r_mat = rep.free_matrix(n)
+        r_mat = _free_fill(n, rep.cfg.dim)  # built per row and dropped, so memory does not grow with count
         r_norm = op_norm(r_mat)
         gamma = 1.0 / (n * r_norm.value)  # as gamma_from_rep, keeping the solve's residual
         diff = op_norm((p_mat + gamma * r_mat) - p_mat)

@@ -56,6 +56,14 @@ def test_parse_errors_are_annotated():
         parse_element("1/0*e", W.BCS)  # zero denominator
 
 
+def test_unknown_universe_is_one_error():
+    for parse in (parse_element, parse_word):
+        for text in ("p", "e", "2*q", ""):
+            with pytest.raises(ValueError) as err:
+                parse(text, "nowhere")
+            assert type(err.value) is ValueError and str(err.value) == "unknown universe 'nowhere'"
+
+
 def test_round_trip_random_elements():
     rng = random.Random(501)
     for universe in W.UNIVERSES:
@@ -137,7 +145,8 @@ def test_cli_moment_and_gram(capsys):
 
 
 # (argv, exit code, JSON payload without elapsed_ms) for the state and
-# inverse-search commands over every universe they take
+# inverse-search commands over every universe they take, and for the
+# parse errors of each grammar rule, message and position byte for byte
 GOLDEN = [
     (['moment', '--universe', 'bc', 'q p'], 0, '{"command": "moment", "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "character", "z": "1/2"}}, "result": "1/2"}'),
     (['moment', '--universe', 'bc', '--vacuum', '2*q q p p + 1/3*e - p'], 0, '{"command": "moment", "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "vacuum"}}, "result": "5/6"}'),
@@ -165,6 +174,33 @@ GOLDEN = [
     (['inv-search', '--universe', 'bcs', '--side', 'left', '--m', '1', '--k-extra', '1', '2*q'], 0, '{"check": "inverse-search", "params": {"side": "left", "universe": "bcs", "m": 1, "k_extra": 1}, "result": "found", "candidates": 12, "rank": 10, "rank_augmented": 10, "solution": "1/2*p"}'),
     (['inv-search', '--universe', 'f2', '--side', 'right', '--m', '2', 'x y'], 0, '{"check": "inverse-search", "params": {"side": "right", "universe": "f2", "m": 2, "k_extra": 0}, "result": "found", "candidates": 17, "rank": 17, "rank_augmented": 17, "solution": "1*y- x-"}'),
     (['inv-search', '--universe', 'f2', '--side', 'left', '--m', '2', '1*e + x'], 1, '{"check": "inverse-search", "params": {"side": "left", "universe": "f2", "m": 2, "k_extra": 0}, "result": "infeasible", "candidates": 17, "rank": 17, "rank_augmented": 18}'),
+    (['normalize', '--universe', 'bcs', ''], 2, '{"result": "error", "message": "empty expression", "position": 0}'),
+    (['normalize', '--universe', 'bcs', 'p +'], 2, '{"result": "error", "message": "dangling operator at end of expression", "position": 2}'),
+    (['normalize', '--universe', 'bcs', '2*e p'], 2, '{"result": "error", "message": "expected \'+\' or \'-\' between terms, found \'p\'", "position": 4}'),
+    (['normalize', '--universe', 'bcs', '2 t1'], 2, '{"result": "error", "message": "scalar must be glued to a generator with \'*\', as in \'1/2*t1\' (got \'2\')", "position": 0}'),
+    (['normalize', '--universe', 'bcs', '1/0*e'], 2, '{"result": "error", "message": "zero denominator in scalar \'1/0\'", "position": 0}'),
+    (['normalize', '--universe', 'bcs', 't1 e'], 2, '{"result": "error", "message": "\'e\' stands alone; it cannot be mixed with generators", "position": 3}'),
+    (['normalize', '--universe', 'bcs', 't0'], 2, '{"result": "error", "message": "generator index must be >= 1 in \'t0\'", "position": 0}'),
+    (['normalize', '--universe', 'bcs', 'p z'], 2, '{"result": "error", "message": "token \'z\' is not a generator of universe \'bcs\' (allowed: p, q, t)", "position": 2}'),
+    (['normalize', '--universe', 'sinf', ''], 2, '{"result": "error", "message": "empty expression", "position": 0}'),
+    (['normalize', '--universe', 'sinf', 'p +'], 2, '{"result": "error", "message": "token \'p\' is not a generator of universe \'sinf\' (allowed: t)", "position": 0}'),
+    (['normalize', '--universe', 'sinf', '2*e p'], 2, '{"result": "error", "message": "expected \'+\' or \'-\' between terms, found \'p\'", "position": 4}'),
+    (['normalize', '--universe', 'sinf', '2 t1'], 2, '{"result": "error", "message": "scalar must be glued to a generator with \'*\', as in \'1/2*t1\' (got \'2\')", "position": 0}'),
+    (['normalize', '--universe', 'sinf', '1/0*e'], 2, '{"result": "error", "message": "zero denominator in scalar \'1/0\'", "position": 0}'),
+    (['normalize', '--universe', 'sinf', 't1 e'], 2, '{"result": "error", "message": "\'e\' stands alone; it cannot be mixed with generators", "position": 3}'),
+    (['normalize', '--universe', 'sinf', 't0'], 2, '{"result": "error", "message": "generator index must be >= 1 in \'t0\'", "position": 0}'),
+    (['normalize', '--universe', 'sinf', 'p z'], 2, '{"result": "error", "message": "token \'p\' is not a generator of universe \'sinf\' (allowed: t)", "position": 0}'),
+    (['normalize', '--universe', 'f2', ''], 2, '{"result": "error", "message": "empty expression", "position": 0}'),
+    (['normalize', '--universe', 'f2', 'p +'], 2, '{"result": "error", "message": "token \'p\' is not a generator of universe \'f2\' (allowed: x, y, x-, y-)", "position": 0}'),
+    (['normalize', '--universe', 'f2', '2*e p'], 2, '{"result": "error", "message": "expected \'+\' or \'-\' between terms, found \'p\'", "position": 4}'),
+    (['normalize', '--universe', 'f2', '2 t1'], 2, '{"result": "error", "message": "scalar must be glued to a generator with \'*\', as in \'1/2*t1\' (got \'2\')", "position": 0}'),
+    (['normalize', '--universe', 'f2', '1/0*e'], 2, '{"result": "error", "message": "zero denominator in scalar \'1/0\'", "position": 0}'),
+    (['normalize', '--universe', 'f2', 't1 e'], 2, '{"result": "error", "message": "token \'t1\' is not a generator of universe \'f2\' (allowed: x, y, x-, y-)", "position": 0}'),
+    (['normalize', '--universe', 'f2', 't0'], 2, '{"result": "error", "message": "token \'t0\' is not a generator of universe \'f2\' (allowed: x, y, x-, y-)", "position": 0}'),
+    (['normalize', '--universe', 'f2', 'p z'], 2, '{"result": "error", "message": "token \'p\' is not a generator of universe \'f2\' (allowed: x, y, x-, y-)", "position": 0}'),
+    (['normalize', '--universe', 'sinf', 'p'], 2, '{"result": "error", "message": "token \'p\' is not a generator of universe \'sinf\' (allowed: t)", "position": 0}'),
+    (['coord', '--universe', 'bcs', 'p', '--word', ''], 2, '{"result": "error", "message": "empty word", "position": 0}'),
+    (['coord', '--universe', 'f2', 'x', '--word', 'x -'], 2, '{"result": "error", "message": "token \'-\' is not a generator of universe \'f2\' (allowed: x, y, x-, y-)", "position": 2}'),
 ]
 
 
@@ -201,6 +237,11 @@ def test_cli_usage_and_parse_errors_are_json(capsys):
     for count in ("-3", "0"):
         code, payload = run_cli(capsys, "rep-report", "--count", count, "--dim", "16")
         assert code == 2 and payload["result"] == "error"
+    # --count is held to RepConfig's max_index of 64
+    code, payload = run_cli(capsys, "rep-report", "--count", "64", "--dim", "16")
+    assert code == 0 and len(payload["rows"]) == 64
+    code, payload = run_cli(capsys, "rep-report", "--count", "65", "--dim", "16")
+    assert code == 2 and payload == {"result": "error", "message": "count 65 exceeds max_index 64"}
     # no switch lifts the budgets
     for argv in (
         ["lemma-support", "--m", "2", "--k", "1"],
@@ -211,6 +252,25 @@ def test_cli_usage_and_parse_errors_are_json(capsys):
     ):
         code, payload = run_cli(capsys, *argv, "--force")
         assert code == 2 and payload == {"result": "error", "message": "unrecognized arguments: --force"}, argv
+
+
+def test_cli_zero_denominators_in_flags_are_named(capsys, tmp_path):
+    z_error = {"result": "error", "message": "zero denominator in --z value '1/0'"}
+    gamma_error = {"result": "error", "message": "zero denominator in gamma 'const:1/0'"}
+    for argv, expected in (
+        (["moment", "--z", "1/0", "t1"], z_error),
+        (["gram", "--z", "1/0", "--m", "1", "--k", "1"], z_error),
+        (["phi", "t1", "--gamma", "const:1/0"], gamma_error),
+        (["lemma-support", "--m", "1", "--k", "1", "--gamma", "const:1/0"], gamma_error),
+        (["lemma-coord", "--m", "1", "--k", "1", "--gamma", "const:1/0"], gamma_error),
+        (["rank", "--m", "1", "--k", "1", "--gamma", "const:1/0"], gamma_error),
+    ):
+        code, payload = run_cli(capsys, *argv)
+        assert (code, payload) == (2, expected), argv
+    cfg = tmp_path / "flags.json"
+    cfg.write_text(json.dumps({"z": "1/0"}))
+    code, payload = run_cli(capsys, "moment", "--config", str(cfg), "t1")
+    assert (code, payload) == (2, z_error)
 
 
 def test_cli_resource_limits_exit_three(capsys):

@@ -47,6 +47,9 @@ def test_gamma_sequences():
     assert gamma_by_name("const:2/7")(5) == Fraction(2, 7)
     with pytest.raises(ValueError):
         gamma_by_name("n^2")
+    with pytest.raises(ValueError) as err:
+        gamma_by_name(" const:1/0")
+    assert str(err.value) == "zero denominator in gamma 'const:1/0'"
 
 
 def test_generator_images():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,17 @@ def test_convergence_stats_recount(dim):
     assert report.stats == {"norms": 24, "sketched": len(residuals), "residual_max": max(residuals, default=0.0)}
     assert report.stats["sketched"] == 24
     assert "stats" not in report.to_dict()
+
+
+def test_convergence_report_memory_does_not_grow_with_count():
+    # each row builds its t_n and drops it, so the peak is a few d x d matrices at any count
+    tracemalloc.start()
+    try:
+        convergence_report(40, RepConfig(dim=128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 128 * 128 * 16
 
 
 def test_free_matrix_fill_is_deterministic():

@@ -5,6 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
+import pqt.cli
 from pqt.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -34,3 +35,11 @@ def test_readme_library_quick_start():
     exec(body, scope)
     assert len(scope["image"].terms) == 4  # "four terms"
     assert not scope["result"].found and scope["result"].rank_augmented > scope["result"].rank  # "infeasible"
+
+
+def test_readme_grammar_matches_the_cli_docstring():
+    def rules(text):
+        return [line.strip() for line in text.splitlines() if ":=" in line]
+
+    section = README.split("### Expression grammar", 1)[1].split("\n#", 1)[0]
+    assert rules(section) == rules(pqt.cli.__doc__) and len(rules(section)) == 5
