@@ -186,10 +186,6 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-# universes whose words have more than one spelling, and the fold to normal form
-_NORMAL_FORM = {W.BCS: W.normalize_items, W.F2: W.fg_normalize}
-
-
 def _collect(pairs: list) -> dict:
     """Sum (word, scalar) pairs into a term dict: the one sparse-sum kernel.
 
@@ -221,9 +217,8 @@ class Element:
         for word in terms:
             if not W.is_word(universe, word):
                 raise ValueError(f"{word!r} is not a word of universe {universe!r}")
-        normal = _NORMAL_FORM.get(universe, lambda w: w)
         self.universe = universe
-        self.terms = _collect([(normal(w), _coerce(c)) for w, c in terms.items()])
+        self.terms = _collect([(W.normal_form(universe, w), _coerce(c)) for w, c in terms.items()])
 
     @classmethod
     def _raw(cls, universe: str, terms: dict) -> "Element":

@@ -45,8 +45,9 @@ from .states import (
 )
 from .oper import RepConfig, boundary_exactness_check, convergence_report
 
-_SCALAR_RE = re.compile(r"(?P<re>[+-]?\d+(?:/\d+)?)(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)i)?")
-_TGEN_RE = re.compile(r"t(\d+)(\*)?\Z")
+# ASCII: the grammar's INT and NUM are ASCII digits, and \d would match any Unicode digit
+_SCALAR_RE = re.compile(r"(?P<re>[+-]?\d+(?:/\d+)?)(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)i)?", re.ASCII)
+_TGEN_RE = re.compile(r"t(\d+)(\*)?\Z", re.ASCII)
 
 _WORD_GENS = {
     W.BC: ("p", "q"),
@@ -91,12 +92,7 @@ def _word(chunks: list, universe: str):
             gens.append(_parse_gen(tok, universe, pos))
         elif len(chunks) > 1:
             raise ExprSyntaxError("'e' stands alone; it cannot be mixed with generators", pos)
-    if universe == W.F2:
-        return W.fg_normalize(gens)
-    word = W.normalize_items(gens)
-    if universe == W.BC:  # p and q fold to one block, or to none
-        return word[0] if word else W.BC_IDENTITY
-    return word
+    return W.normal_form(universe, gens)
 
 
 def parse_word(text: str, universe: str):
@@ -117,8 +113,8 @@ def parse_element(text: str, universe: str) -> Element:
     while True:
         tok, pos = chunks[i]
         scalar = ONE
-        if tok[0].isdigit() or (tok[0] in "+-" and len(tok) > 1 and tok[1].isdigit()):
-            m = _SCALAR_RE.match(tok)
+        m = _SCALAR_RE.match(tok)
+        if m:
             rest = tok[m.end():]
             if not rest.startswith("*") or len(rest) < 2:
                 raise ExprSyntaxError(f"scalar must be glued to a generator with '*', as in '1/2*t1' (got {tok!r})", pos)
@@ -207,7 +203,7 @@ def _cmd_moment(args):
 
 def _cmd_gram(args):
     cfg = _state_config(args)
-    if args.words:
+    if args.words is not None:
         words = [parse_word(part, args.universe) for part in args.words.split(";") if part.strip()]
     else:
         words = W.enumerate_words(args.m, args.k, args.universe)
@@ -262,7 +258,7 @@ class _Parser(argparse.ArgumentParser):
 
     def _parse_optional(self, arg_string):
         # an expression may open with a negative scalar, as in '-1/2*q'
-        if arg_string[:1] == "-" and arg_string[1:2].isdigit():
+        if arg_string[:1] == "-" and _SCALAR_RE.match(arg_string):
             return None
         return super()._parse_optional(arg_string)
 

@@ -83,12 +83,10 @@ class ShiftRepresentation:
         return self.free_matrix(item.index, item.starred)
 
     def word_matrix(self, w) -> np.ndarray:
-        """Product word (or free word, or a lone bicyclic element) to matrix.
+        """Item word (bc, sinf or bcs) to matrix.
 
         A one-letter free word returns the cached, read-only generator matrix.
         """
-        if isinstance(w, W.BCElement):
-            return self.item_matrix(w)
         if not w:
             return np.eye(self.cfg.dim, dtype=complex)
         out = self.item_matrix(w[0])
@@ -254,5 +252,5 @@ def boundary_exactness_check(window: int, cfg: RepConfig | None = None) -> Bound
             col = mat[:, i]
             target = i - bc.b + bc.a
             if col[target] != 1.0 or np.count_nonzero(col) != 1:
-                failures.append({"word": W.render_word(W.BC, bc), "vector": i})
+                failures.append({"word": W.render_word(W.BC, (bc,)), "vector": i})
     return BoundaryReport(window, d, len(words), len(vectors), failures)

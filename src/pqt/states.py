@@ -15,9 +15,9 @@ a word w factors in closed form:
 
 (Voiculescu, Dykema and Nica, Free Random Variables, CRM Monograph Series
 1, 1992).  ``FreeProductState`` computes it in one pass over the word, for
-any length.  The component states are its restrictions: a bc word is read
-as a one-item product word and a sinf word as a product word without
-blocks, so one moment path serves all three universes.
+any length.  The component states are its restrictions: a bc word is a
+product word without free letters and a sinf word one without blocks,
+so one moment path serves all three universes.
 ``tests/oracles.py`` keeps the literal two-level centered expansion that
 this closed form is checked against.
 """
@@ -95,12 +95,7 @@ def bc_moment(x: W.BCElement) -> GaussianRational:
 
 
 def _collapse(w) -> tuple:
-    """(free letters of w in order, product of w's bicyclic items).
-
-    A lone bicyclic element (a bc word) is its own block, with no letters.
-    """
-    if isinstance(w, W.BCElement):
-        return [], w
+    """(free letters of w in order, product of w's bicyclic items)."""
     letters: list = []
     collapsed = W.BC_IDENTITY
     for it in w:

@@ -8,11 +8,13 @@ immutable, hashable word value):
 * ``bcs``  -- the monoid free product of the two above
 * ``f2``   -- the free group on x, y (carrier of the trace checks)
 
-A ``bcs`` word is stored in alternating normal form: a tuple of items,
-each either a non-identity bicyclic block or a single free generator,
-with no two bicyclic blocks adjacent.  The item count is the word's
-length.  ``sinf`` words are item tuples containing no bicyclic blocks,
-so they double as ``bcs`` words under the natural inclusion.
+A ``bc``, ``sinf`` or ``bcs`` word is a tuple of items in alternating
+normal form: each item is a non-identity bicyclic block or a single free
+generator, no two blocks are adjacent, and ``()`` is e.  The item count
+is the word's length.  The universe only restricts which letters may
+appear (a ``bc`` word is ``()`` or one block, a ``sinf`` word has no
+blocks), so bc and sinf words are bcs words under the natural inclusions
+and one set of item-word functions serves all three.
 
 Letters are interned: ``BCElement`` and ``FreeGen`` keep one instance
 per field value, so letter equality is identity and the hash is
@@ -203,10 +205,6 @@ def pw_len(w: ProductWord) -> int:
     return len(w)
 
 
-def free_star(w: FreeWord) -> FreeWord:
-    return tuple(g.star() for g in reversed(w))
-
-
 def fg_inverse(w: FGWord) -> FGWord:
     return tuple((g, -e) for g, e in reversed(w))
 
@@ -259,15 +257,11 @@ def map_to_f2(w: FreeWord) -> FGWord:
 
 def identity_word(universe: str):
     _check_universe(universe)
-    return BC_IDENTITY if universe == BC else ()
+    return ()
 
 
 def word_mul(universe: str, u, v):
-    if universe == BC:
-        return bc_mul(u, v)
-    if universe == SINF:
-        return u + v
-    if universe == BCS:
+    if universe in (BC, SINF, BCS):
         return pw_mul(u, v)
     if universe == F2:
         return fg_mul(u, v)
@@ -275,11 +269,7 @@ def word_mul(universe: str, u, v):
 
 
 def word_star(universe: str, u):
-    if universe == BC:
-        return bc_star(u)
-    if universe == SINF:
-        return free_star(u)
-    if universe == BCS:
+    if universe in (BC, SINF, BCS):
         return pw_star(u)
     if universe == F2:
         return fg_inverse(u)
@@ -294,26 +284,28 @@ def _is_gen(x) -> bool:
     return type(x) is FreeGen and x.index >= 1
 
 
-def is_word(universe: str, u) -> bool:
-    """Whether u spells a word of the universe; bcs and f2 spellings may be unreduced."""
-    if universe == BC:
-        return _is_block(u)
-    if type(u) is not tuple:
-        return False
-    if universe == SINF:
-        return all(map(_is_gen, u))
-    if universe == BCS:
-        return all(_is_gen(x) or _is_block(x) for x in u)
-    return all(x in _F2_RANK for x in u)
-
-
-def word_len(universe: str, u) -> int:
-    if universe == BC:
-        return 0 if u.is_identity() else 1
-    return len(u)
-
-
 _F2_RANK = {("x", 1): 0, ("x", -1): 1, ("y", 1): 2, ("y", -1): 3}
+# the letters a word of each universe may hold
+_IS_LETTER = {BC: _is_block, SINF: _is_gen, BCS: lambda x: _is_gen(x) or _is_block(x), F2: _F2_RANK.__contains__}
+
+
+def is_word(universe: str, u) -> bool:
+    """Whether u spells a word of the universe; spellings may be unreduced.
+
+    A lone bicyclic block also spells a ``bc`` word, its 1-tuple.
+    """
+    if universe == BC and _is_block(u):
+        return True
+    return type(u) is tuple and all(map(_IS_LETTER[universe], u))
+
+
+def normal_form(universe: str, spelling):
+    """The normal form of a spelling that ``is_word`` accepts: f2 reduces freely, the others fold items."""
+    if universe == F2:
+        return fg_normalize(spelling)
+    if type(spelling) is BCElement:
+        spelling = (spelling,)
+    return normalize_items(spelling)
 
 
 def _gen_rank(g: FreeGen) -> int:
@@ -322,8 +314,6 @@ def _gen_rank(g: FreeGen) -> int:
 
 def _token_ranks(universe: str, u) -> tuple:
     # generator order: p < q < t1 < t1* < t2 < ...
-    if universe == BC:
-        return (1,) * u.a + (0,) * u.b
     if universe == F2:
         return tuple(_F2_RANK[let] for let in u)
     ranks: list[int] = []
@@ -337,12 +327,10 @@ def _token_ranks(universe: str, u) -> tuple:
 
 def word_sort_key(universe: str, u) -> tuple:
     """Total order: length first, then lexicographic on generator tokens."""
-    return (word_len(universe, u), _token_ranks(universe, u))
+    return (len(u), _token_ranks(universe, u))
 
 
 def word_tokens(universe: str, u) -> list:
-    if universe == BC:
-        return ["q"] * u.a + ["p"] * u.b
     if universe == F2:
         return [g if e == 1 else g + "-" for g, e in u]
     toks: list[str] = []
@@ -360,8 +348,6 @@ def render_word(universe: str, u) -> str:
 
 
 def max_free_index(universe: str, u) -> int:
-    if universe in (BC, F2):
-        return 0
     return max((it.index for it in u if isinstance(it, FreeGen)), default=0)
 
 
@@ -374,10 +360,9 @@ def _check_universe(universe: str) -> None:
 
 
 def bc_elements(max_exponent_sum: int) -> list:
-    """All q^a p^b with a + b <= max_exponent_sum, in canonical order (the identity first)."""
-    out = [BCElement(a, s - a) for s in range(max_exponent_sum + 1) for a in range(s + 1)]
-    out.sort(key=lambda x: word_sort_key(BC, x))
-    return out
+    """All q^a p^b with a + b <= max_exponent_sum, in canonical order, which is order on (a, b) as p < q."""
+    n = max_exponent_sum
+    return [BCElement(a, b) for a in range(n + 1) for b in range(n + 1 - a)]
 
 
 _F2_LETTERS = tuple(_F2_RANK)
@@ -417,7 +402,7 @@ def count_words(m: int, k: int, universe: str) -> int:
 def enumerate_words(m: int, k: int, universe: str) -> list:
     """All words of length <= m with generator indices <= k, sorted.
 
-    ``bc`` lists q^a p^b with a + b <= m and ``f2`` the reduced words;
+    ``bc`` lists e and the blocks q^a p^b with 0 < a + b <= m, and ``f2`` the reduced words;
     neither reads k.  On ``sinf`` and ``bcs``, k = 0 leaves no free
     letters.  For ``bcs`` the bicyclic blocks are capped at exponent sum
     m * DEFAULT_BLOCK_FACTOR; the abstract length filtration is infinite,
@@ -442,7 +427,7 @@ def enumerate_words(m: int, k: int, universe: str) -> list:
     if total > DEFAULT_ENUMERATION_LIMIT:
         raise LimitExceeded(f"enumeration would produce {total} words (limit {DEFAULT_ENUMERATION_LIMIT})")
     if universe == BC:
-        return bc_elements(m)
+        return [()] + [(x,) for x in bc_elements(m)[1:]]
 
     follow = _follow_table(m, k, universe)
     words: list = [()]

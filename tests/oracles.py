@@ -100,10 +100,7 @@ def normal_form_by_rewriting(universe, w):
     """The normal form of a spelling, rebuilt from its rewritten tokens (f2: by fixpoint reduction)."""
     if universe == W.F2:
         return fg_reduce_fixpoint(w)
-    items = reblock(rewrite_pq(W.word_tokens(universe, w)))
-    if universe == W.BC:
-        return items[0] if items else W.BC_IDENTITY
-    return items
+    return reblock(rewrite_pq(W.word_tokens(universe, w)))
 
 
 # -- word lists, one generator per universe -------------------------------------------
@@ -112,13 +109,13 @@ def normal_form_by_rewriting(universe, w):
 def enumerate_by_universe(m, k, universe) -> list:
     """The words of length <= m that ``enumerate_words`` lists, each universe built its own way.
 
-    bc loops over the exponent pairs (a, b), sinf takes itertools
+    bc loops over the exponent pairs (a, b), e as (), sinf takes itertools
     products of the 2k free letters, and bcs and f2 grow frontiers that
     skip a block after a block and a letter after its inverse.
     """
     gens = [W.FreeGen(i, s) for i in range(1, k + 1) for s in (False, True)]
     if universe == W.BC:
-        words = [W.BCElement(a, b) for a in range(m + 1) for b in range(m + 1 - a)]
+        words = [(W.BCElement(a, b),) if a or b else () for a in range(m + 1) for b in range(m + 1 - a)]
     elif universe == W.SINF:
         words = [w for length in range(m + 1) for w in itertools.product(gens, repeat=length)]
     elif universe == W.F2:
@@ -530,12 +527,6 @@ def patch_word_images(monkeypatch, tampered) -> None:
 # -- the coordinate systems of the inverse searches, recounted -----------------------
 
 
-def _as_bcs_word(universe, w) -> tuple:
-    if universe == W.BC:
-        return () if w.is_identity() else (w,)
-    return w
-
-
 def inverse_system_counts(entries, side, cands) -> tuple:
     """(rows, rank) of the system that each unknown block of a one-sided inverse solves.
 
@@ -547,13 +538,13 @@ def inverse_system_counts(entries, side, cands) -> tuple:
     matrix, eliminated densely.  The n blocks differ only in the
     right-hand side, so they share these counts.
     """
-    n, uni = len(entries), entries[0][0].universe
-    plain = [[{_as_bcs_word(uni, u): as_pair(c) for u, c in el.terms.items()} for el in row] for row in entries]
+    n = len(entries)
+    plain = [[{u: as_pair(c) for u, c in el.terms.items()} for el in row] for row in entries]
     one = (Fraction(1), Fraction(0))
     columns = []  # one {(r, word): pair} per unknown (j, candidate)
     for j in range(n):
         for w in cands:
-            dw = {_as_bcs_word(uni, w): one}
+            dw = {w: one}
             column = {}
             for r in range(n):
                 prod = product_by_expansion(plain[r][j], dw) if side == "right" else product_by_expansion(dw, plain[j][r])
@@ -571,7 +562,8 @@ def inverse_system_counts(entries, side, cands) -> tuple:
 def random_word(rng, universe, max_len=3, max_index=2, max_exp=2):
     length = rng.randint(0, max_len)
     if universe == W.BC:
-        return W.BCElement(rng.randint(0, max_exp), rng.randint(0, max_exp))
+        a, b = rng.randint(0, max_exp), rng.randint(0, max_exp)
+        return (W.BCElement(a, b),) if a or b else ()
     if universe == W.SINF:
         return tuple(W.FreeGen(rng.randint(1, max_index), rng.random() < 0.5) for _ in range(length))
     if universe == W.F2:

@@ -89,9 +89,26 @@ def test_star_pinned_values():
 
 def test_coordinate():
     x = delta(W.BC, W.P) + delta(W.BC, W.Q).scale(3)
-    assert x.coordinate(W.Q) == gr(3)
-    assert unit(W.BC).coordinate(W.P) == ZERO
-    assert (delta(W.BC, W.P) * delta(W.BC, W.Q)).coordinate(W.BC_IDENTITY) == ONE
+    assert x.coordinate((W.Q,)) == gr(3)
+    assert unit(W.BC).coordinate((W.P,)) == ZERO
+    assert (delta(W.BC, W.P) * delta(W.BC, W.Q)).coordinate(()) == ONE
+
+
+def test_bc_is_a_sub_universe_of_bcs():
+    # a bc word is a bcs word, and bc arithmetic is bcs arithmetic on those words
+    rng = random.Random(107)
+    for _ in range(300):
+        x = random_element(rng, W.BC, max_exp=3)
+        y = random_element(rng, W.BC, max_exp=3)
+        for w in x.terms:
+            assert W.is_word(W.BCS, w) and W.normalize_items(w) == w
+        xs, ys = Element(W.BCS, x.terms), Element(W.BCS, y.terms)
+        assert list((xs * ys).terms.items()) == list((x * y).terms.items())
+        assert list(xs.star().terms.items()) == list(x.star().terms.items())
+        assert xs.render() == x.render() and (xs * ys).render() == (x * y).render()
+    for m in range(6):
+        for w in W.enumerate_words(m, 0, W.BC):
+            assert W.is_word(W.BCS, w) and W.normalize_items(w) == w
 
 
 def test_ring_axioms_on_random_triples():
@@ -170,7 +187,7 @@ def test_render_sorted_by_word_order():
 
 @pytest.mark.parametrize(
     "universe, key",
-    [(W.BC, ()), (W.SINF, (W.P,)), (W.BCS, (("x", 1),)), (W.F2, (T(1),))],
+    [(W.BC, (T(1),)), (W.SINF, (W.P,)), (W.BCS, (("x", 1),)), (W.F2, (T(1),))],
     ids=W.UNIVERSES,
 )
 def test_constructor_rejects_keys_outside_the_universe(universe, key):
@@ -185,3 +202,7 @@ def test_constructors_fold_keys_into_normal_form():
     assert el.terms == {(B(0, 2),): GaussianRational(2)}
     assert Element(W.BCS, {(W.P, W.Q): 1, (): -1}).is_zero()
     assert delta(W.F2, (("x", 1), ("x", -1), ("y", 1))) == delta(W.F2, (("y", 1),))
+    # a bc word is () or one block; a lone block spells its 1-tuple
+    assert Element(W.BC, {(): 1}) == unit(W.BC) and list(unit(W.BC).terms) == [()]
+    assert list(delta(W.BC, W.P).terms) == [(W.P,)] and delta(W.BC, (W.Q, W.Q, W.P)) == delta(W.BC, B(2, 1))
+    assert Element(W.BC, {(W.P, W.Q): 1, W.BC_IDENTITY: 1}).terms == {(): GaussianRational(2)}

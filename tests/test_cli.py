@@ -163,6 +163,9 @@ GOLDEN = [
     (['gram', '--universe', 'bcs', '--m', '1', '--k', '1'], 0, '{"check": "gram-psd", "universe": "bcs", "words": ["e", "p", "p p", "p p p", "q", "q p", "q p p", "q q", "q q p", "q q q", "t1", "t1*"], "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "character", "z": "1/2"}}, "psd": true}'),
     (['gram', '--universe', 'bcs', '--m', '1', '--k', '1', '--vacuum'], 0, '{"check": "gram-psd", "universe": "bcs", "words": ["e", "p", "p p", "p p p", "q", "q p", "q p p", "q q", "q q p", "q q q", "t1", "t1*"], "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "vacuum"}}, "psd": true}'),
     (['gram', '--universe', 'bcs', '--z', '-1/2', '--words', 'e; q t1; t1 p; q t1 p'], 0, '{"check": "gram-psd", "universe": "bcs", "words": ["e", "q t1", "t1 p", "q t1 p"], "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "character", "z": "-1/2"}}, "psd": true}'),
+    # an empty word list is checked as given, not replaced by the default enumeration
+    (['gram', '--universe', 'bc', '--words', ''], 0, '{"check": "gram-psd", "universe": "bc", "words": [], "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "character", "z": "1/2"}}, "psd": true}'),
+    (['gram', '--universe', 'bc', '--words', ' ; '], 0, '{"check": "gram-psd", "universe": "bc", "words": [], "state_config": {"bc_state": {"kind": "dyadic-shift"}, "s_state": {"kind": "character", "z": "1/2"}}, "psd": true}'),
     (['inv-search', '--universe', 'bc', '--side', 'right', '--m', '3', '2/3*p'], 0, '{"check": "inverse-search", "params": {"side": "right", "universe": "bc", "m": 3, "k_extra": 0}, "result": "found", "candidates": 10, "rank": 8, "rank_augmented": 8, "solution": "3/2*q"}'),
     (['inv-search', '--universe', 'bc', '--side', 'left', '--m', '3', 'q'], 0, '{"check": "inverse-search", "params": {"side": "left", "universe": "bc", "m": 3, "k_extra": 0}, "result": "found", "candidates": 10, "rank": 8, "rank_augmented": 8, "solution": "1*p"}'),
     (['inv-search', '--universe', 'bc', '--side', 'right', '--m', '3', 'q'], 1, '{"check": "inverse-search", "params": {"side": "right", "universe": "bc", "m": 3, "k_extra": 0}, "result": "infeasible", "candidates": 10, "rank": 10, "rank_augmented": 11}'),
@@ -199,6 +202,11 @@ GOLDEN = [
     (['normalize', '--universe', 'f2', 't0'], 2, '{"result": "error", "message": "token \'t0\' is not a generator of universe \'f2\' (allowed: x, y, x-, y-)", "position": 0}'),
     (['normalize', '--universe', 'f2', 'p z'], 2, '{"result": "error", "message": "token \'p\' is not a generator of universe \'f2\' (allowed: x, y, x-, y-)", "position": 0}'),
     (['normalize', '--universe', 'sinf', 'p'], 2, '{"result": "error", "message": "token \'p\' is not a generator of universe \'sinf\' (allowed: t)", "position": 0}'),
+    # the grammar's digits are ASCII: a Unicode digit is no scalar and no generator index
+    (['normalize', '--universe', 'bc', '²*p'], 2, '{"result": "error", "message": "token \'\\u00b2*p\' is not a generator of universe \'bc\' (allowed: p, q)", "position": 0}'),
+    (['normalize', '--universe', 'bc', '-²*p'], 2, '{"result": "error", "message": "the following arguments are required: expr"}'),
+    (['normalize', '--universe', 'bc', '٣*p'], 2, '{"result": "error", "message": "token \'\\u0663*p\' is not a generator of universe \'bc\' (allowed: p, q)", "position": 0}'),
+    (['normalize', '--universe', 'bcs', 't٣'], 2, '{"result": "error", "message": "token \'t\\u0663\' is not a generator of universe \'bcs\' (allowed: p, q, t)", "position": 0}'),
     (['coord', '--universe', 'bcs', 'p', '--word', ''], 2, '{"result": "error", "message": "empty word", "position": 0}'),
     (['coord', '--universe', 'f2', 'x', '--word', 'x -'], 2, '{"result": "error", "message": "token \'-\' is not a generator of universe \'f2\' (allowed: x, y, x-, y-)", "position": 2}'),
 ]

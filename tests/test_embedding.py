@@ -387,7 +387,7 @@ def _el(universe, terms):
 
 STATS_CASES = [
     (delta(W.BC, W.Q), "right", 6, 0),  # infeasible
-    (_el(W.BC, {W.BC_IDENTITY: 2, B(1, 1): (0, Fraction(1, 5))}), "right", 3, 0),  # found, complex
+    (_el(W.BC, {(): 2, (B(1, 1),): (0, Fraction(1, 5))}), "right", 3, 0),  # found, complex
     (delta(W.BC, B(1, 1)), "left", 2, 0),  # rank below the candidate count
     (_el(W.SINF, {(): 1, (T(1),): -1}), "right", 3, 0),
     (_el(W.SINF, {(): (Fraction(2, 3), -1), (T(1), T(2, True)): 1}), "left", 2, 0),
@@ -400,7 +400,7 @@ STATS_CASES = [
 def test_inverse_search_stats_match_recount(a, side, m, k_extra):
     result = inverse_search(a, side, m, k_extra=k_extra)
     k = max(W.max_free_index(a.universe, w) for w in a.support()) + k_extra
-    cands = W.bc_elements(m) if a.universe == W.BC else W.enumerate_words(m, k, a.universe)
+    cands = W.enumerate_words(m, k, a.universe)
     rows, rank = inverse_system_counts([[a]], side, cands)
     assert result.stats == {"candidates": len(cands), "rows": rows, "pivots": rank}
     assert result.candidates == len(cands) and result.rank == rank
@@ -432,7 +432,7 @@ def test_mat_inverse_search_fails_on_a_later_block():
     # diag(e, q) over bc: column 0 of a right inverse is (e, 0), column 1 needs q x = e
     a = ElementMatrix([[unit(W.BC), zero(W.BC)], [zero(W.BC), delta(W.BC, W.Q)]])
     result = mat_inverse_search(a, "right", 3)
-    assert inverse_system_counts([list(row) for row in a.entries], "right", W.bc_elements(3)) == (21, 20)
+    assert inverse_system_counts([list(row) for row in a.entries], "right", W.enumerate_words(3, 0, W.BC)) == (21, 20)
     assert not result.found and result.matrix is None
     assert result.stats == {"candidates": 10, "rows": 2 * 21, "pivots": 2 * 20}
 

@@ -4,7 +4,9 @@ factorisation of state Grams, operator norms of shift-representation
 matrices against an eigensolver oracle, and the ring and star axioms,
 parse/render round trips and normal forms over all four universes."""
 
+import contextlib
 import functools
+import io
 import math
 from fractions import Fraction
 
@@ -13,8 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from pqt import words as W
 from pqt.algebra import Element, GaussianRational, linear_combine, unit
-from pqt.cli import parse_element, parse_word
+from pqt.cli import main, parse_element, parse_word
 from pqt.embedding import Embedding, GammaSequence
+from pqt.errors import ExprSyntaxError
 from pqt.oper import RepConfig, ShiftRepresentation, op_norm
 from pqt.states import Character, FreeProductState, StateConfig, Vacuum, gram_matrix, gram_psd_check
 from oracles import (
@@ -204,13 +207,36 @@ def test_parse_render_round_trip(x):
         assert parse_word(W.render_word(x.universe, w), x.universe) == w
 
 
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(), universe=st.sampled_from(W.UNIVERSES))
+@example(text="²*p", universe=W.BC)  # a Unicode digit opens the token, but is no ASCII scalar
+@example(text="-²*p", universe=W.BC)
+@example(text="t٣", universe=W.BCS)
+def test_parser_fails_only_with_syntax_errors(text, universe):
+    # any text parses, or is refused as a syntax error; never an internal error (exit 4)
+    try:
+        x = parse_element(text, universe)
+    except ExprSyntaxError:
+        pass
+    else:
+        assert parse_element(x.render(), universe) == x
+    try:
+        parse_word(text, universe)
+    except ExprSyntaxError:
+        pass
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["normalize", "--universe", universe, text])
+    assert code != 4, out.getvalue()
+
+
 @settings(max_examples=150, deadline=None)
 @given(run=_word_runs)
 def test_normal_form_is_idempotent(run):
     universe, words, c = run
     product = functools.reduce(functools.partial(W.word_mul, universe), words)
-    # bc words are single canonical items; elsewhere the words concatenate into a spelling that may need folding
-    spelling = product if universe == W.BC else sum(words, ())
+    # the words concatenate into a spelling that may need folding
+    spelling = sum(words, ())
     x = Element(universe, {spelling: c})
     assert list(x.terms) == ([product] if c else [])
     again = Element(universe, x.terms)

@@ -204,15 +204,15 @@ def test_vacuum_degeneracy_on_enumeration(monkeypatch):
 
 
 def test_gram_pinned_small_cases():
-    report = gram_psd_check(W.BC, [W.BC_IDENTITY])
+    report = gram_psd_check(W.BC, [()])
     assert report.psd
     state = FreeProductState()
-    G = gram_matrix(W.BC, [W.BC_IDENTITY, W.Q], state)
+    G = gram_matrix(W.BC, [(), (W.Q,)], state)
     # mu(q* q) = mu(p q) = mu(e) = 1; the 1/2 shows up for the reversed product
     assert G[0][0] == ONE and G[0][1] == ZERO and G[1][0] == ZERO
     assert G[1][1] == ONE
     assert bc_moment(W.bc_mul(W.Q, W.P)) == gr("1/2")
-    assert gram_psd_check(W.BC, [W.BC_IDENTITY, W.Q]).psd
+    assert gram_psd_check(W.BC, [(), (W.Q,)]).psd
 
 
 def test_gram_matches_truncated_matrix_state():
@@ -221,11 +221,12 @@ def test_gram_matches_truncated_matrix_state():
     S = np.eye(d, k=-1)
     Sd = S.T
     rho = np.diag([2.0 ** -(i + 1) for i in range(d)])
-    words = W.bc_elements(3)
+    words = W.enumerate_words(3, 0, W.BC)
     state = FreeProductState()
     G = gram_matrix(W.BC, words, state)
-    for i, wi in enumerate(words):
-        for j, wj in enumerate(words):
+    blocks = [w[0] if w else W.BC_IDENTITY for w in words]
+    for i, wi in enumerate(blocks):
+        for j, wj in enumerate(blocks):
             pi = np.linalg.matrix_power(S, wi.a) @ np.linalg.matrix_power(Sd, wi.b)
             pj = np.linalg.matrix_power(S, wj.a) @ np.linalg.matrix_power(Sd, wj.b)
             numeric = np.trace(rho @ pi.T @ pj)
@@ -239,7 +240,7 @@ def test_gram_psd_on_length_two_words():
 
 
 def test_component_states_are_positive_on_their_own_algebras():
-    bc_words = W.bc_elements(4)
+    bc_words = W.enumerate_words(4, 0, W.BC)
     assert gram_psd_check(W.BC, bc_words).psd
     s_words = W.enumerate_words(2, 2, W.SINF)
     assert gram_psd_check(W.SINF, s_words).psd
@@ -249,13 +250,13 @@ def test_component_states_are_positive_on_their_own_algebras():
 
 def test_gram_rejects_duplicate_words():
     with pytest.raises(ValueError):
-        gram_psd_check(W.BC, [W.Q, W.Q])
+        gram_psd_check(W.BC, [(W.Q,), (W.Q,)])
 
 
 GRAM_STATES = [StateConfig(), StateConfig(s_state=Character(Fraction(-3, 5))), VACUUM]
 GRAM_STATE_IDS = ["z=1/2", "z=-3/5", "vacuum"]
 GRAM_LISTS = {
-    "bc": (W.BC, W.bc_elements(4)),
+    "bc": (W.BC, W.enumerate_words(4, 0, W.BC)),
     "sinf": (W.SINF, W.enumerate_words(2, 2, W.SINF)),
     "bcs": (W.BCS, W.enumerate_words(2, 1, W.BCS)),
 }
@@ -296,7 +297,7 @@ def _signed_dyadic(self, x):
 @pytest.mark.parametrize("cfg", GRAM_STATES, ids=GRAM_STATE_IDS)
 @pytest.mark.parametrize(
     "universe, words",
-    [(W.BC, W.bc_elements(2)), (W.BCS, W.enumerate_words(1, 1, W.BCS)), (W.BCS, [(T(1), W.P), (), (W.P,)])],
+    [(W.BC, W.enumerate_words(2, 0, W.BC)), (W.BCS, W.enumerate_words(1, 1, W.BCS)), (W.BCS, [(T(1), W.P), (), (W.P,)])],
     ids=["bc", "bcs", "bcs-free-letter-first"],
 )
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])

@@ -189,7 +189,7 @@ def test_enumerate_words_argument_contract():
     for universe in (W.SINF, W.BCS):
         with pytest.raises(ValueError, match="k must be >= 0"):
             W.enumerate_words(1, -1, universe)
-    assert W.enumerate_words(1, -1, W.BC) == W.bc_elements(1)
+    assert W.enumerate_words(1, -1, W.BC) == [(), (W.P,), (W.Q,)]
     assert len(W.enumerate_words(1, -1, W.F2)) == 5
     with pytest.raises(ValueError, match="unknown universe"):
         W.enumerate_words(1, 1, "z")
@@ -268,7 +268,7 @@ def test_render_word():
     assert W.render_word(W.BCS, ()) == "e"
     assert W.render_word(W.BCS, (B(2, 1), T(1, True), W.P)) == "q q p t1* p"
     assert W.render_word(W.F2, (("x", 1), ("y", -1))) == "x y-"
-    assert W.render_word(W.BC, B(1, 2)) == "q p p"
+    assert W.render_word(W.BC, (B(1, 2),)) == "q p p"
 
 
 # -- interned letters ---------------------------------------------------------------
@@ -293,8 +293,8 @@ def test_equal_letters_are_one_object_on_every_path():
     for universe in (W.SINF, W.BCS):
         for w in W.enumerate_words(2, 2, universe):
             assert all(it is _canonical(it) for it in w), w
-    assert all(x is _canonical(x) for x in W.enumerate_words(3, 0, W.BC))
-    assert parse_word("q q p", W.BC) is B(2, 1)
+    assert all(x is _canonical(x) for w in W.enumerate_words(3, 0, W.BC) for x in w)
+    assert parse_word("q q p", W.BC)[0] is B(2, 1)
     parsed = parse_word("q t2* p p t1", W.BCS)
     assert parsed[0] is W.Q and parsed[1] is T(2, True) and parsed[2] is B(0, 2) and parsed[3] is T(1)
 
@@ -363,8 +363,8 @@ def _fields(it):
     return it  # an f2 letter is already a plain tuple
 
 
-def _word_fields(universe, w):
-    return _fields(w) if universe == W.BC else tuple(map(_fields, w))
+def _word_fields(w):
+    return tuple(map(_fields, w))
 
 
 _letters = st.one_of(
@@ -372,7 +372,7 @@ _letters = st.one_of(
     st.builds(W.FreeGen, st.integers(1, 2), st.sampled_from([False, True, 0, 1])),
 )
 _UNIVERSE_WORDS = {
-    W.BC: st.builds(B, st.integers(0, 2), st.integers(0, 2)),
+    W.BC: st.builds(B, st.integers(0, 2), st.integers(0, 2)).map(lambda x: W.normalize_items((x,))),
     W.SINF: st.lists(st.builds(W.FreeGen, st.integers(1, 2), st.booleans()), max_size=3).map(tuple),
     W.BCS: st.lists(_letters, max_size=4).map(W.normalize_items),
     W.F2: st.lists(st.sampled_from([("x", 1), ("x", -1), ("y", 1), ("y", -1)]), max_size=4).map(W.fg_normalize),
@@ -386,6 +386,6 @@ def test_equality_is_equality_of_fields(data, universe, x, y):
     if x == y:
         assert hash(x) == hash(y)
     u, v = data.draw(_UNIVERSE_WORDS[universe]), data.draw(_UNIVERSE_WORDS[universe])
-    same = _word_fields(universe, u) == _word_fields(universe, v)
+    same = _word_fields(u) == _word_fields(v)
     assert (u == v) == same
     assert ({u: 1}.get(v) == 1) == same
