@@ -8,11 +8,12 @@ is nonzero" checks elsewhere meaningful.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
-from .errors import UniverseMismatch
+from .errors import LimitExceeded, UniverseMismatch
 from . import words as W
 
 
@@ -170,7 +171,19 @@ class GaussianRational:
 def _ratio(n: int, d: int, g: int = 1) -> str:
     """n/g over d/g as Fraction prints it: no denominator when it is one."""
     n, d = n // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # only the interpreter's digit limit refuses an int here
+        from decimal import Decimal  # converts an int of any length, and only this rare path needs it
+
+        raise _over_digit_limit(max(Decimal(k).adjusted() + 1 for k in (n, d))) from None
+
+
+def _over_digit_limit(digits: int) -> LimitExceeded:
+    """The resource-limit error for a number of ``digits`` digits that int <-> str conversion refused."""
+    # read per call, as sys.set_int_max_str_digits may move it; 0, or a 3.10 without the call, is no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return LimitExceeded(f"a number of {digits} digits exceeds the interpreter's limit of {limit} digits for integer string conversion")
 
 
 def _coerce(x) -> GaussianRational:

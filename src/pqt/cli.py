@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import ExprSyntaxError, LimitExceeded, UniverseMismatch
 from . import words as W
-from .algebra import Element, GaussianRational, ONE, _collect
+from .algebra import Element, GaussianRational, ONE, _collect, _over_digit_limit
 from .embedding import (
     Embedding,
     gamma_by_name,
@@ -66,7 +66,10 @@ def _parse_gen(tok: str, universe: str, pos: int):
     if universe in (W.SINF, W.BCS):
         m = _TGEN_RE.fullmatch(tok)
         if m:
-            index = int(m.group(1))
+            try:
+                index = int(m.group(1))
+            except ValueError:  # only the interpreter's digit limit refuses a run of digits
+                raise _over_digit_limit(len(m.group(1))) from None
             if index < 1:
                 raise ExprSyntaxError(f"generator index must be >= 1 in {tok!r}", pos)
             return W.FreeGen(index, m.group(2) is not None)
@@ -122,6 +125,8 @@ def parse_element(text: str, universe: str) -> Element:
                 scalar = GaussianRational(Fraction(m["re"]), Fraction((m["sign"] or "") + (m["im"] or "0")))
             except ZeroDivisionError:
                 raise ExprSyntaxError(f"zero denominator in scalar {tok[: m.end()]!r}", pos)
+            except ValueError:  # only the interpreter's digit limit refuses a scalar the pattern matched
+                raise _over_digit_limit(max(map(len, re.findall("[0-9]+", tok[: m.end()])))) from None
             tok = rest[1:]
         # a term is its first token and, unless that is 'e', the tokens up to the next operator
         end = i + 1
@@ -336,55 +341,54 @@ def _add_state_flags(sub):
     sub.add_argument("--vacuum", action="store_true", help="use the vacuum instead of a character")
 
 
-def _build() -> tuple:
-    parser = _Parser(prog="pqt", description="Exact workbench for bicyclic/free *-monoid algebras")
-    subcommands = parser.add_subparsers(dest="command", required=True)
-    table = {}
+# Each function below adds one command's arguments and its handler. The handler
+# and verifier names are read when it runs, not bound at import, so a handler or
+# verifier patched on this module after import is the one called.
 
-    def new(name, **kw):
-        table[name] = subcommands.add_parser(name, **kw)
-        return table[name]
 
-    sub = new("normalize", help="parse and canonically render an element")
+def _normalize_args(sub):
     _add_universe(sub)
     sub.add_argument("expr")
     sub.set_defaults(handler=_cmd_normalize)
 
-    sub = new("mul", help="multiply two elements")
+
+def _mul_args(sub):
     _add_universe(sub)
     sub.add_argument("left")
     sub.add_argument("right")
     sub.set_defaults(handler=_cmd_mul)
 
-    sub = new("star", help="involution of an element")
+
+def _star_args(sub):
     _add_universe(sub)
     sub.add_argument("expr")
     sub.set_defaults(handler=_cmd_star)
 
-    sub = new("coord", help="coefficient of an element at a word")
+
+def _coord_args(sub):
     _add_universe(sub)
     sub.add_argument("expr")
     sub.add_argument("--word", required=True)
     sub.set_defaults(handler=_cmd_coord)
 
-    sub = new("phi", help="apply the weighted embedding to a free-monoid element")
+
+def _phi_args(sub):
     sub.add_argument("expr")
     sub.add_argument("--gamma", default="1/n")
     sub.set_defaults(handler=_cmd_phi)
 
-    # the verifier is looked up when the parser is built, so a wrapped module global is the one called
-    for name, verifier in (
-        ("lemma-support", "verify_support_bound"),
-        ("lemma-coord", "verify_coordinate_separation"),
-        ("rank", "injectivity_rank"),
-    ):
-        sub = new(name, help=f"run the {name} verifier")
+
+def _verifier_args(verifier: str):
+    def add_arguments(sub):
         sub.add_argument("--m", type=int, required=True)
         sub.add_argument("--k", type=int, required=True)
         sub.add_argument("--gamma", default="1/n")
         sub.set_defaults(handler=_cmd_verifier, verifier=globals()[verifier])
 
-    sub = new("inv-search", help="length-bounded one-sided inverse search")
+    return add_arguments
+
+
+def _inv_search_args(sub):
     _add_universe(sub)
     sub.add_argument("expr")
     sub.add_argument("--side", required=True, choices=("left", "right"))
@@ -392,13 +396,15 @@ def _build() -> tuple:
     sub.add_argument("--k-extra", type=int, default=0)
     sub.set_defaults(handler=_cmd_inv_search)
 
-    sub = new("moment", help="state moment of an element")
+
+def _moment_args(sub):
     _add_universe(sub, default=W.BCS, choices=(W.BC, W.SINF, W.BCS))
     sub.add_argument("expr")
     _add_state_flags(sub)
     sub.set_defaults(handler=_cmd_moment)
 
-    sub = new("gram", help="exact PSD check of a state gram matrix")
+
+def _gram_args(sub):
     _add_universe(sub, default=W.BCS, choices=(W.BC, W.SINF, W.BCS))
     sub.add_argument("--m", type=int, default=2)
     sub.add_argument("--k", type=int, default=2)
@@ -406,20 +412,61 @@ def _build() -> tuple:
     _add_state_flags(sub)
     sub.set_defaults(handler=_cmd_gram)
 
-    sub = new("trace", help="trace of a free-group algebra element")
+
+def _trace_args(sub):
     sub.add_argument("expr")
     sub.set_defaults(handler=_cmd_trace)
 
-    sub = new("rep-report", help="norm convergence table for the truncated representation")
+
+def _rep_report_args(sub):
     sub.add_argument("--count", type=int, default=20, help="report rows for n = 1..count")
     sub.add_argument("--dim", type=int, default=256)
     sub.set_defaults(handler=_cmd_rep_report)
 
-    sub = new("boundary-check", help="interior exactness of the truncated shifts")
+
+def _boundary_check_args(sub):
     sub.add_argument("--window", type=int, default=4)
     sub.add_argument("--dim", type=int, default=256)
     sub.set_defaults(handler=_cmd_boundary_check)
 
+
+# command name -> (help, add_arguments), in the order `pqt -h` lists them
+_COMMANDS = {
+    "normalize": ("parse and canonically render an element", _normalize_args),
+    "mul": ("multiply two elements", _mul_args),
+    "star": ("involution of an element", _star_args),
+    "coord": ("coefficient of an element at a word", _coord_args),
+    "phi": ("apply the weighted embedding to a free-monoid element", _phi_args),
+    "lemma-support": ("run the lemma-support verifier", _verifier_args("verify_support_bound")),
+    "lemma-coord": ("run the lemma-coord verifier", _verifier_args("verify_coordinate_separation")),
+    "rank": ("run the rank verifier", _verifier_args("injectivity_rank")),
+    "inv-search": ("length-bounded one-sided inverse search", _inv_search_args),
+    "moment": ("state moment of an element", _moment_args),
+    "gram": ("exact PSD check of a state gram matrix", _gram_args),
+    "trace": ("trace of a free-group algebra element", _trace_args),
+    "rep-report": ("norm convergence table for the truncated representation", _rep_report_args),
+    "boundary-check": ("interior exactness of the truncated shifts", _boundary_check_args),
+}
+
+
+def _build(command=None) -> tuple:
+    """The top-level parser and a name -> subparser table: for ``command``
+    alone, or for all 14 when ``command`` names none (``-h``, an unknown
+    command, an empty argv).
+
+    Built per call and never cached: a kept tree would carry one call's
+    ``--config`` defaults (``_apply_config`` writes ``action.default`` and
+    ``action.required``) into the next, would keep handlers and verifiers
+    patched out since it was built, and its throughput would push the
+    ``interactive`` benchmark's peak RSS over its bound (ROADMAP item 5).
+    """
+    parser = _Parser(prog="pqt", description="Exact workbench for bicyclic/free *-monoid algebras")
+    subcommands = parser.add_subparsers(dest="command", required=True)
+    table = {}
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, add_arguments = _COMMANDS[name]
+        table[name] = subcommands.add_parser(name, help=help_text)
+        add_arguments(table[name])
     return parser, table
 
 
@@ -437,9 +484,10 @@ def main(argv=None) -> int:
 
 
 def _main(argv: list) -> int:
-    parser, table = _build()
     try:
         argv, config = _extract_config(argv)
+        # the top-level parser has no option but -h, so a command can only be reached as argv[0]
+        parser, table = _build(argv[0] if argv else None)
         if config:
             _apply_config(table, argv, config)
         args = parser.parse_args(argv)

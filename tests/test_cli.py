@@ -466,3 +466,160 @@ def test_cli_config_keys_must_name_arguments_of_the_command(capsys, tmp_path):
     cfg.write_text(json.dumps({"k-extra": 1, "side": "right", "m": 1}))
     code, payload = run_cli(capsys, "inv-search", "--config", str(cfg), "--universe", "bcs", "p")
     assert code == 0 and payload["params"]["k_extra"] == 1
+
+
+COMMANDS = ["normalize", "mul", "star", "coord", "phi", "lemma-support", "lemma-coord", "rank",
+            "inv-search", "moment", "gram", "trace", "rep-report", "boundary-check"]
+
+# per command: (required arguments only, every flag given, a config file's flag values)
+COMMAND_ARGVS = {
+    "normalize": (["--universe", "bc", "p q"], ["--universe", "bcs", "2*p t1"], {"universe": "sinf"}),
+    "mul": (["--universe", "bc", "p", "q"], ["--universe", "f2", "x", "-1/2*x-"], {"universe": "bcs"}),
+    "star": (["--universe", "bc", "p"], ["--universe", "sinf", "t1 t2*"], {"universe": "bcs"}),
+    "coord": (["--universe", "bc", "p", "--word", "p"], ["--universe", "f2", "x + y", "--word", "y"], {"word": "p"}),
+    "phi": (["t1"], ["t1 t2", "--gamma", "1"], {"gamma": "3/(2n^2)"}),
+    "lemma-support": (["--m", "1", "--k", "1"], ["--m", "1", "--k", "1", "--gamma", "1"], {"m": 1, "k": 1}),
+    "lemma-coord": (["--m", "1", "--k", "1"], ["--m", "1", "--k", "1", "--gamma", "1"], {"m": 1, "k": 1}),
+    "rank": (["--m", "1", "--k", "1"], ["--m", "1", "--k", "1", "--gamma", "1"], {"m": 1, "k": 1, "gamma": "1"}),
+    "inv-search": (
+        ["--universe", "bc", "--side", "right", "--m", "1", "p"],
+        ["--universe", "bcs", "--side", "left", "--m", "1", "--k-extra", "1", "2*q"],
+        {"side": "right", "m": 1},
+    ),
+    "moment": (["t1"], ["--universe", "bc", "--z", "1/3", "--vacuum", "q p"], {"z": "1/3", "vacuum": True}),
+    "gram": (["--m", "1", "--k", "1"], ["--universe", "bc", "--m", "1", "--k", "1", "--words", "e; q", "--z", "2", "--vacuum"],
+             {"universe": "bc", "m": 1}),
+    "trace": (["x x-"], ["2*x + e"], {"expr": "x"}),
+    "rep-report": (["--count", "2", "--dim", "8"], ["--count", "3", "--dim", "16"], {"dim": 8}),
+    "boundary-check": (["--window", "2", "--dim", "8"], ["--window", "3", "--dim", "16"], {"dim": 8}),
+}
+
+
+def test_cli_command_table_lists_every_command():
+    from pqt import cli
+
+    assert list(cli._COMMANDS) == COMMANDS == list(COMMAND_ARGVS)
+
+
+def test_cli_one_command_tree_parses_as_the_full_tree(capsys, monkeypatch, tmp_path):
+    # every handler echoes what it was handed, so the runs compare the parses, not the work
+    from pqt import cli
+
+    def echo(name):
+        def handler(args):
+            return {key: getattr(value, "__name__", value) for key, value in vars(args).items()}, 0
+
+        handler.__name__ = name
+        return handler
+
+    for name in [name for name in vars(cli) if name.startswith("_cmd_")]:
+        monkeypatch.setattr(cli, name, echo(name))
+    argvs = [[], ["-h"], ["no-such-command"], ["--config"]]
+    for command, (required, full, config) in COMMAND_ARGVS.items():
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(config))
+        argvs += [
+            [command, *required],
+            [command, *full],
+            ["--config", str(cfg), command, *required],
+            [command, *full, f"--config={cfg}"],
+            [command, *required, "--no-such-flag"],
+            [command],
+            [command, "-h"],
+        ]
+    build = cli._build
+
+    def outputs():
+        got = []
+        for argv in argvs:
+            code = main(argv)
+            got.append((argv, code, *capsys.readouterr()))
+        return got
+
+    one_command = outputs()
+    monkeypatch.setattr(cli, "_build", lambda command=None: build())
+    full_tree = outputs()
+    assert one_command == full_tree
+    # the echo ran for every command, flags and config values included
+    parsed = {tuple(argv): json.loads(out) for argv, code, out, _ in one_command if code == 0}
+    assert parsed[("moment", *COMMAND_ARGVS["moment"][1])] == {
+        "command": "moment", "universe": "bc", "expr": "q p", "z": "1/3", "vacuum": True, "handler": "_cmd_moment"}
+    assert parsed[("--config", str(tmp_path / "rank.json"), "rank", "--m", "1", "--k", "1")]["verifier"] == "injectivity_rank"
+    assert parsed[("rank", "--m", "1", "--k", "1")]["gamma"] == "1/n"
+
+
+def test_cli_unknown_command_and_top_level_help_see_every_command(capsys):
+    # argparse quotes the choices by repr on older interpreters and by str on newer ones
+    code, payload = run_cli(capsys, "no-such-command")
+    assert code == 2 and set(payload) == {"result", "message"}
+    assert payload["message"].replace("'", "") == (
+        f"argument command: invalid choice: no-such-command (choose from {', '.join(COMMANDS)})"
+    )
+    code = main(["-h"])
+    out, err = capsys.readouterr()
+    assert code == 0 and out == json.dumps({"result": "help", "prog": "pqt"}) + "\n"
+    assert "{" + ",".join(COMMANDS) + "}" in err
+
+
+def test_cli_builds_only_the_parser_it_runs(capsys, monkeypatch, tmp_path):
+    from pqt import cli
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    for argv, parsers in (
+        (["normalize", "--universe", "bc", "q"], 2),
+        (["--config", str(tmp_path / "missing.json"), "rank"], 0),  # the config file is read, and refused, first
+        (["rank", "--m", "1", "--k", "1", "-h"], 2),
+        (["-h"], 15),
+        (["no-such-command"], 15),
+        ([], 15),
+    ):
+        built.clear()
+        main(argv)
+        capsys.readouterr()
+        assert len(built) == parsers, (argv, built)
+
+
+def test_cli_calls_share_no_parser_state(capsys, tmp_path):
+    # one call's config file sets flag defaults for that call only
+    cfg = tmp_path / "flags.json"
+    cfg.write_text(json.dumps({"z": "1/3"}))
+    code, payload = run_cli(capsys, "moment", "--config", str(cfg), "t1")
+    assert code == 0 and payload["result"] == "1/3"
+    code, payload = run_cli(capsys, "moment", "t1")
+    assert code == 0 and payload["result"] == "1/2"
+    cfg.write_text(json.dumps({"side": "right"}))
+    code, payload = run_cli(capsys, "inv-search", "--config", str(cfg), "--universe", "bc", "--m", "1", "p")
+    assert code == 0 and payload["solution"] == "1*q"
+    code, payload = run_cli(capsys, "inv-search", "--universe", "bc", "--m", "1", "p")
+    assert (code, payload) == (2, {"result": "error", "message": "the following arguments are required: --side"})
+
+
+def test_cli_numbers_over_the_digit_limit_exit_three(capsys):
+    import sys
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts ints of any length")
+
+    def over(digits):
+        return {"result": "error", "message": (
+            f"a number of {digits} digits exceeds the interpreter's limit of {limit} digits for integer string conversion")}
+
+    big = "9" * (limit + 700)
+    assert run_cli(capsys, "normalize", "--universe", "bc", f"{big}*p") == (3, over(limit + 700))
+    assert run_cli(capsys, "normalize", "--universe", "bcs", f"1/2+1/{big}i*p") == (3, over(limit + 700))
+    assert run_cli(capsys, "normalize", "--universe", "sinf", f"t{big}") == (3, over(limit + 700))
+    # each operand parses, and the product has twice its digits when it is rendered
+    half = "9" * (limit // 2 + 400)
+    assert run_cli(capsys, "mul", "--universe", "bc", f"{half}*p", f"{half}*q") == (3, over(2 * len(half)))
+    # just under the limit, a scalar parses and renders, negative and imaginary parts included
+    most = "9" * limit
+    code, payload = run_cli(capsys, "normalize", "--universe", "bc", f"-{most}/7+{most}i*p")
+    assert code == 0 and payload["result"] == f"-{most}/7+{most}i*p"
