@@ -5,7 +5,6 @@ from .embedding import (
     ElementMatrix,
     Embedding,
     GammaSequence,
-    check_generator_recovery,
     injectivity_rank,
     inverse_search,
     mat_inverse_search,

@@ -8,6 +8,7 @@ is nonzero" checks elsewhere meaningful.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -179,11 +180,29 @@ def _ratio(n: int, d: int, g: int = 1) -> str:
         raise _over_digit_limit(max(Decimal(k).adjusted() + 1 for k in (n, d))) from None
 
 
+def _digit_limit() -> int:
+    # read per call, as sys.set_int_max_str_digits may move it; 0, or a 3.10 without the call, is no limit
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _over_digit_limit(digits: int) -> LimitExceeded:
     """The resource-limit error for a number of ``digits`` digits that int <-> str conversion refused."""
-    # read per call, as sys.set_int_max_str_digits may move it; 0, or a 3.10 without the call, is no limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return LimitExceeded(f"a number of {digits} digits exceeds the interpreter's limit of {limit} digits for integer string conversion")
+    return LimitExceeded(
+        f"a number of {digits} digits exceeds the interpreter's limit of {_digit_limit()} digits for integer string conversion"
+    )
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a run of digits too long for int() with LimitExceeded.
+
+    Fraction converts each run of digits, which underscores may join, with
+    int().  int() refuses a run over the limit with the ValueError that a
+    malformed value also raises, so the runs are counted first.
+    """
+    digits = max((len(run) - run.count("_") for run in re.findall(r"\d(?:_?\d)*", text)), default=0)
+    if 0 < _digit_limit() < digits:
+        raise _over_digit_limit(digits)
+    return Fraction(text)
 
 
 def _coerce(x) -> GaussianRational:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import ExprSyntaxError, LimitExceeded, UniverseMismatch
 from . import words as W
-from .algebra import Element, GaussianRational, ONE, _collect, _over_digit_limit
+from .algebra import Element, GaussianRational, ONE, _collect, _over_digit_limit, _parse_fraction
 from .embedding import (
     Embedding,
     gamma_by_name,
@@ -150,7 +150,7 @@ def _state_config(args) -> StateConfig:
     if args.vacuum:
         return StateConfig(s_state=Vacuum())
     try:
-        z = Fraction(args.z)
+        z = _parse_fraction(args.z)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in --z value {args.z!r}")
     return StateConfig(s_state=Character(z))

@@ -8,7 +8,7 @@ finite length filtrations and exactly:
 * the coordinate of an image at a target word of length m singles out
   exactly that word among all candidates of length <= m,
 * the restriction of the map to each filtration stage has full rank,
-* a single generator can be recovered from its image and delta_p.
+* ``Embedding.preimage`` inverts the map exactly, at every length.
 
 The first three read only which words an image contains.  Every gamma_n
 is positive, so each coefficient of an image is a sum of positive
@@ -22,6 +22,7 @@ finiteness and infiniteness demonstrations) and matrices over elements.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import LimitExceeded, UniverseMismatch
 from . import words as W
-from .algebra import Element, GaussianRational, ONE, ZERO, _collect, delta, unit, zero
+from .algebra import Element, GaussianRational, ONE, ZERO, _collect, _parse_fraction, unit, zero
 
 _RHS = -1  # sentinel column id for augmented systems
 
@@ -75,7 +76,7 @@ def gamma_by_name(text: str) -> GammaSequence:
         return GammaSequence.scaled_inverse_square()
     if text.startswith("const:"):
         try:
-            return GammaSequence.constant(Fraction(text[len("const:"):]))
+            return GammaSequence.constant(_parse_fraction(text[len("const:"):]))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in gamma {text!r}")
     raise ValueError(f"unknown gamma sequence {text!r} (use 1/n, 1, 3/(2n^2) or const:<rational>)")
@@ -146,6 +147,28 @@ class Embedding:
         return Element._raw(
             W.BCS, _collect([(w, coeff * c) for word, coeff in x.terms.items() for w, c in image(word).terms.items()])
         )
+
+    def preimage(self, y: Element) -> Element | None:
+        """The x with ``apply(x) == y``, or None when y is not an image.
+
+        phi(w) is gamma^w w (gamma^w: the product of gamma_n over w's letters)
+        plus terms with fewer free letters.  So, from the most free letters
+        down, y's terms with d of them must be free words, which give x's
+        length-d terms; their image is subtracted.  Needs only gamma_n != 0.
+        """
+        if y.universe != W.BCS:
+            raise UniverseMismatch(f"embedding codomain is {W.BCS!r}, got {y.universe!r}")
+        x: dict = {}
+        for d in range(max(map(len, map(W.free_part, y.terms)), default=0), -1, -1):
+            part: dict = {}
+            for u, c in y.terms.items():
+                if len(W.free_part(u)) == d:
+                    if len(u) > d:
+                        return None
+                    part[u] = c / GaussianRational(math.prod(self.gamma(g.index) for g in u))
+            x.update(part)
+            y = y - self.apply(Element._raw(W.SINF, part))
+        return Element._raw(W.SINF, x)
 
 
 @dataclass
@@ -383,14 +406,6 @@ def injectivity_rank(m: int, k: int, gamma: GammaSequence | None = None) -> Chec
         elapsed_ms=elapsed,
         stats={"words": len(basis), "image_terms": sum(map(len, supports)), "pivots": pivots},
     )
-
-
-def check_generator_recovery(n: int, gamma: GammaSequence | None = None) -> bool:
-    """(1/gamma_n) * (image of t_n minus delta_p) equals delta_t_n, exactly."""
-    emb = Embedding(gamma)
-    a_n = emb.generator_image(W.t(n))
-    recovered = (a_n - delta(W.BCS, (W.P,))).scale(GaussianRational(1) / GaussianRational(emb.gamma(n)))
-    return recovered == delta(W.BCS, (W.t(n),))
 
 
 # -- one-sided inverse searches -------------------------------------------------

@@ -14,7 +14,8 @@ a word w factors in closed form:
     mu(w) = chi(free letters of w, in order) * mu1(product of w's bicyclic blocks)
 
 (Voiculescu, Dykema and Nica, Free Random Variables, CRM Monograph Series
-1, 1992).  ``FreeProductState`` computes it in one pass over the word, for
+1, 1992).  The two arguments are the word maps ``W.free_part`` and
+``W.block_part``, so ``FreeProductState`` computes it in linear time, for
 any length.  The component states are its restrictions: a bc word is a
 product word without free letters and a sinf word one without blocks,
 so one moment path serves all three universes.
@@ -94,23 +95,11 @@ def bc_moment(x: W.BCElement) -> GaussianRational:
     return BC_STATE.moment(x)
 
 
-def _collapse(w) -> tuple:
-    """(free letters of w in order, product of w's bicyclic items)."""
-    letters: list = []
-    collapsed = W.BC_IDENTITY
-    for it in w:
-        if isinstance(it, W.BCElement):
-            collapsed = W.bc_mul(collapsed, it)
-        else:
-            letters.append(it)
-    return letters, collapsed
-
-
 class FreeProductState:
     """Moment functional on bc, sinf and bcs elements.
 
-    Each word moment is the closed form, one pass over the word, so
-    nothing is memoised.
+    Each word moment is the closed form, linear in the word, so nothing
+    is memoised.
     """
 
     def __init__(self, cfg: StateConfig | None = None):
@@ -125,8 +114,7 @@ class FreeProductState:
         return total
 
     def word_moment(self, w) -> GaussianRational:
-        letters, collapsed = _collapse(w)
-        return GaussianRational(self.cfg.s_state.moment_fraction(letters) * BC_STATE.moment_fraction(collapsed))
+        return GaussianRational(self.cfg.s_state.moment_fraction(W.free_part(w)) * BC_STATE.moment_fraction(W.block_part(w)))
 
 
 def free_moment(x: Element, cfg: StateConfig | None = None) -> GaussianRational:
@@ -250,7 +238,7 @@ class GramReport:
 def _block_gram_decide(words: list, s_state: Character) -> tuple:
     """PSD decision of a state Gram on the distinct collapsed blocks of its words.
 
-    With d_i = chi(free letters of w_i) and c_i the collapse of w_i, the
+    With d_i = chi(W.free_part(w_i)) and c_i = W.block_part(w_i), the
     closed form gives G[i][j] = d_i d_j mu1(c_i* c_j), so G = D S K S^T D
     for D = diag(d_i), S picking each word's block, and K the Gram of mu1
     on the distinct blocks c of the words with d != 0.  By congruence
@@ -262,9 +250,8 @@ def _block_gram_decide(words: list, s_state: Character) -> tuple:
     """
     first: dict = {}  # block -> index of its first kept word, in first-appearance order
     for i, w in enumerate(words):
-        letters, block = _collapse(w)
-        if s_state.moment_fraction(letters) != 0:
-            first.setdefault(block, i)
+        if s_state.moment_fraction(W.free_part(w)) != 0:
+            first.setdefault(W.block_part(w), i)
     blocks = list(first)
     _check_cells(len(blocks))
     K = [[GaussianRational(BC_STATE.moment_fraction(W.bc_mul(W.bc_star(ci), cj))) for cj in blocks] for ci in blocks]

@@ -223,33 +223,31 @@ def fg_mul(l: FGWord, r: FGWord) -> FGWord:
     return fg_normalize(l + r)
 
 
-def map_to_two_generators(w: FreeWord) -> tuple:
-    """Monoid map into the free *-monoid <a, b> with a* = b.
+def free_part(w: ProductWord) -> FreeWord:
+    """The unital monoid map p, q -> e (epsilon): the word's free letters, in order."""
+    return tuple([it for it in w if type(it) is FreeGen])
 
-    t_n goes to a b^n a and t_n* to b a^n b; the images decode uniquely,
-    which is what makes the composed group embedding injective.
-    """
-    out: list[str] = []
-    for g in w:
-        if g.starred:
-            out.append("b")
-            out.extend("a" * g.index)
-            out.append("b")
-        else:
-            out.append("a")
-            out.extend("b" * g.index)
-            out.append("a")
-    return tuple(out)
+
+def block_part(w: ProductWord) -> BCElement:
+    """The unital monoid map t_n, t_n* -> e: the bicyclic product of the word's blocks."""
+    out = BC_IDENTITY
+    for it in w:
+        if type(it) is BCElement:
+            out = bc_mul(out, it)
+    return out
 
 
 def map_to_f2(w: FreeWord) -> FGWord:
-    """Compose the two-generator map with a -> x, b -> y into the free group.
+    """Monoid map into the free group: t_n -> x y^n x and t_n* -> y x^n y.
 
-    Images are positive words, so reduction never fires here; it is kept
-    for the general contract.
+    The images are positive words, so nothing reduces, and no generator's
+    image is a prefix of another's, so the map is injective at every length.
     """
-    letters = [("x" if c == "a" else "y", 1) for c in map_to_two_generators(w)]
-    return fg_normalize(letters)
+    out: list = []
+    for g in w:
+        end, mid = (("y", 1), ("x", 1)) if g.starred else (("x", 1), ("y", 1))
+        out += (end,) + (mid,) * g.index + (end,)
+    return tuple(out)
 
 
 # -- generic word interface, dispatched on the universe tag ------------------

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the production code paths it is used
 to check: bicyclic multiplication is redone by string rewriting, free
 reduction by a fixpoint scan, the embedding by expanding all 2^|w| letter
-choices, element sums and products by summing each distinct word's
+choices and its left inverse psi o epsilon by dropping tokens and
+expanding again, element sums and products by summing each distinct word's
 coefficient over plain Fraction pairs, the free-product moment by the
 literal two-level centered expansion, the coordinate lemma by the scan
 over every (target, candidate) pair on the images the embedding builds,
@@ -145,20 +146,62 @@ def phi_by_expansion(w, gamma) -> dict:
     """The image of a free word as {normal-form word: scalar}, one term per letter choice.
 
     Letter t_n (t_n*) contributes p (q) with weight 1 or itself with weight
-    gamma(n); every one of the 2^|w| choices is reduced by string rewriting.
+    gamma(n), a Fraction or an (re, im) pair; every one of the 2^|w|
+    choices is reduced by string rewriting.
     """
     terms: dict = {}
     for choice in itertools.product((False, True), repeat=len(w)):
-        tokens, weight = [], Fraction(1)
+        tokens, weight = [], (Fraction(1), Fraction(0))
         for g, free in zip(w, choice):
             if free:
                 tokens.append(f"t{g.index}*" if g.starred else f"t{g.index}")
-                weight *= gamma(g.index)
+                weight = complex_product(weight, _as_complex(gamma(g.index)))
             else:
                 tokens.append("q" if g.starred else "p")
         word = reblock(rewrite_pq(tokens))
-        terms[word] = terms.get(word, 0) + weight
-    return {u: GaussianRational(c) for u, c in terms.items() if c}
+        prev = terms.get(word, (0, 0))
+        terms[word] = (prev[0] + weight[0], prev[1] + weight[1])
+    return {u: GaussianRational(*c) for u, c in terms.items() if any(c)}
+
+
+def _as_complex(v) -> tuple:
+    return v if isinstance(v, tuple) else (Fraction(v), Fraction(0))
+
+
+# -- epsilon and its inverse psi by token rewriting, on plain {word: (re, im)} dicts --
+
+
+def phi_of_element_by_expansion(x: dict, gamma) -> dict:
+    """phi of {free word: (re, im)}, each word's image from ``phi_by_expansion``."""
+    return collect_by_expansion(
+        (u, complex_product(c, as_pair(v))) for w, c in x.items() for u, v in phi_by_expansion(w, gamma).items()
+    )
+
+
+def epsilon_by_rewriting(y: dict) -> dict:
+    """epsilon (p, q -> e) of {bcs word: (re, im)}: every p and q token dropped."""
+    return collect_by_expansion(
+        (reblock([tok for tok in W.word_tokens(W.BCS, u) if tok.startswith("t")]), c) for u, c in y.items()
+    )
+
+
+def psi_by_rewriting(x: dict, gamma) -> dict:
+    """psi (t -> gamma^-1 (t - e)) of {free word: (re, im)}, for any nonzero gamma.
+
+    Each letter t_n of a word is kept with weight 1/gamma(n) or dropped with
+    weight -1/gamma(n), over all 2^|w| choices; gamma(n) is a Fraction or
+    an (re, im) pair.
+    """
+    pairs = []
+    for w, c in x.items():
+        tokens = W.word_tokens(W.SINF, w)
+        inverses = [_pair_quotient((1, 0), _as_complex(gamma(int(tok[1:].rstrip("*"))))) for tok in tokens]
+        for choice in itertools.product((False, True), repeat=len(tokens)):
+            weight = c
+            for inv, keep in zip(inverses, choice):
+                weight = complex_product(weight, inv if keep else (-inv[0], -inv[1]))
+            pairs.append((reblock([tok for tok, keep in zip(tokens, choice) if keep]), weight))
+    return collect_by_expansion(pairs)
 
 
 # -- element arithmetic by expansion, on plain {bcs word: (re, im)} dicts ------

@@ -17,7 +17,6 @@ from pqt.cli import main, parse_element
 from pqt.embedding import (
     Embedding,
     GammaSequence,
-    check_generator_recovery,
     injectivity_rank,
     inverse_search,
     verify_coordinate_separation,
@@ -113,8 +112,10 @@ def test_criterion_05_homomorphism_and_recovery():
         y = span_element()
         assert emb.apply(x * y) == emb.apply(x) * emb.apply(y)
         assert emb.apply(x.star()) == emb.apply(x).star()
-    for n in range(1, 11):
-        assert check_generator_recovery(n)
+    generators = [W.FreeGen(n, s) for n in range(1, W.MAX_INDEX + 1) for s in (False, True)]
+    assert len(generators) == 32
+    for g in generators:
+        assert emb.preimage(emb.generator_image(g)) == delta(W.SINF, (g,))
     _done(5, "homomorphism and recovery", start, 10.0)
 
 
@@ -151,6 +152,10 @@ def test_criterion_07_trace_suite():
     basis = W.enumerate_words(4, 2, W.SINF)
     assert len(basis) == 341
     assert len({W.map_to_f2(w) for w in basis}) == 341
+    # the generator images are positive words and a prefix code, so map_to_f2 is injective at every length
+    images = [W.map_to_f2((W.FreeGen(n, s),)) for n in range(1, W.MAX_INDEX + 1) for s in (False, True)]
+    assert len(set(images)) == 32 and all(e == 1 for image in images for _, e in image)
+    assert not any(u != v and v[: len(u)] == u for u in images for v in images)
     _done(7, "trace suite", start, 5.0)
 
 

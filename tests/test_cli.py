@@ -619,7 +619,20 @@ def test_cli_numbers_over_the_digit_limit_exit_three(capsys):
     # each operand parses, and the product has twice its digits when it is rendered
     half = "9" * (limit // 2 + 400)
     assert run_cli(capsys, "mul", "--universe", "bc", f"{half}*p", f"{half}*q") == (3, over(2 * len(half)))
+    # the rational flags count each run of digits, which underscores may join, before parsing
+    assert run_cli(capsys, "moment", "--z", big, "t1") == (3, over(limit + 700))
+    assert run_cli(capsys, "gram", "--universe", "sinf", "--m", "1", "--k", "1", "--z", f"1/{big}") == (3, over(limit + 700))
+    assert run_cli(capsys, "moment", "--z", f"{half}_{half}", "t1") == (3, over(2 * len(half)))
+    assert run_cli(capsys, "phi", "t1", "--gamma", f"const:{big}") == (3, over(limit + 700))
+    assert run_cli(capsys, "rank", "--m", "1", "--k", "1", "--gamma", f"const:0.{big}") == (3, over(limit + 700))
+    # a malformed value is still a usage error
+    assert run_cli(capsys, "moment", "--z", "1/2/3", "t1") == (2, {"result": "error", "message": "Invalid literal for Fraction: '1/2/3'"})
+    assert run_cli(capsys, "phi", "t1", "--gamma", "const:1/2/3") == (2, {"result": "error", "message": "Invalid literal for Fraction: '1/2/3'"})
     # just under the limit, a scalar parses and renders, negative and imaginary parts included
     most = "9" * limit
     code, payload = run_cli(capsys, "normalize", "--universe", "bc", f"-{most}/7+{most}i*p")
     assert code == 0 and payload["result"] == f"-{most}/7+{most}i*p"
+    code, payload = run_cli(capsys, "moment", "--z", f"1/{most}", "t1")
+    assert code == 0 and payload["result"] == f"1/{most}"
+    code, payload = run_cli(capsys, "phi", "t1", "--gamma", f"const:{most}")
+    assert code == 0 and payload["result"] == f"1*p + {most}*t1"

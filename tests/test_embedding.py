@@ -11,7 +11,6 @@ from pqt.embedding import (
     ElementMatrix,
     Embedding,
     GammaSequence,
-    check_generator_recovery,
     gamma_by_name,
     injectivity_rank,
     inverse_search,
@@ -20,7 +19,7 @@ from pqt.embedding import (
     verify_coordinate_separation,
     verify_support_bound,
 )
-from pqt.errors import LimitExceeded
+from pqt.errors import LimitExceeded, UniverseMismatch
 from oracles import (
     coordinate_separation_pairwise,
     dense_rank,
@@ -298,9 +297,29 @@ def test_injectivity_rank_falls_back_to_elimination(monkeypatch, target, tamper,
 
 
 def test_generator_recovery():
-    assert check_generator_recovery(1, GammaSequence.constant(1))
-    assert check_generator_recovery(7)
-    assert check_generator_recovery(3, GammaSequence.constant(Fraction(2, 5)))
+    for n, gamma in ((1, GammaSequence.constant(1)), (7, None), (3, GammaSequence.constant(Fraction(2, 5)))):
+        emb = Embedding(gamma)
+        for g in (W.t(n), W.t(n, True)):
+            assert emb.preimage(emb.generator_image(g)) == delta(W.SINF, (g,))
+
+
+@pytest.mark.parametrize("gamma", GAMMAS, ids=lambda g: g.name)
+def test_preimage_round_trips_a_stage(gamma):
+    emb = Embedding(gamma)
+    for w in W.enumerate_words(4, 2, W.SINF):
+        assert emb.preimage(emb.word_image(w)) == delta(W.SINF, w), w
+
+
+def test_preimage_refuses_what_is_not_an_image():
+    emb = Embedding()
+    assert emb.preimage(zero(W.BCS)) == zero(W.SINF)
+    assert emb.preimage(unit(W.BCS)) == unit(W.SINF)
+    for word in ((W.P,), (W.Q,), (W.BCElement(1, 1),), (W.t(1), W.P), (W.Q, W.t(2, True), W.P)):
+        assert emb.preimage(delta(W.BCS, word)) is None, word
+    # p + 2 t1 is phi(t1) = p + t1 with the wrong weight on t1
+    assert emb.preimage(delta(W.BCS, (W.P,)) + delta(W.BCS, (W.t(1),)).scale(2)) is None
+    with pytest.raises(UniverseMismatch):
+        emb.preimage(delta(W.SINF, (W.t(1),)))
 
 
 def test_inverse_search_bicyclic():

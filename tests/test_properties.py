@@ -2,7 +2,8 @@
 arithmetic, element arithmetic against its expansion, the collapsed-block
 factorisation of state Grams, operator norms of shift-representation
 matrices against an eigensolver oracle, and the ring and star axioms,
-parse/render round trips and normal forms over all four universes."""
+parse/render round trips and normal forms over all four universes, and
+the embedding's exact left inverse against psi o epsilon by rewriting."""
 
 import contextlib
 import functools
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pqt import words as W
-from pqt.algebra import Element, GaussianRational, linear_combine, unit
+from pqt.algebra import Element, GaussianRational, delta, linear_combine, unit
 from pqt.cli import main, parse_element, parse_word
 from pqt.embedding import Embedding, GammaSequence
 from pqt.errors import ExprSyntaxError
@@ -25,9 +26,12 @@ from oracles import (
     collect_by_expansion,
     complex_product,
     distinct_kept_blocks,
+    epsilon_by_rewriting,
     op_norm_eigh,
     phi_by_expansion,
+    phi_of_element_by_expansion,
     product_by_expansion,
+    psi_by_rewriting,
 )
 
 _q = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -259,3 +263,35 @@ def test_word_support_is_the_image_support(gamma, m, k, data):
     emb = Embedding(gamma)
     for w in data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=6)):
         assert emb.word_support(w) == set(emb.word_image(w).terms) == set(phi_by_expansion(w, gamma)), w
+
+
+# sinf elements of up to 4 terms, words of length <= 5 over t1..t3; zero coefficients drop
+_sinf_words = st.lists(st.builds(W.FreeGen, st.integers(1, 3), st.booleans()), max_size=5).map(tuple)
+_sinf_terms = st.dictionaries(_sinf_words, _coeffs, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma=_gammas, terms=_sinf_terms)
+def test_preimage_is_psi_epsilon(gamma, terms):
+    x = Element(W.SINF, {w: GaussianRational(*c) for w, c in terms.items()})
+    emb = Embedding(gamma)
+    y = emb.apply(x)
+    assert emb.preimage(y) == x
+    assert dict(_plain(x)) == psi_by_rewriting(epsilon_by_rewriting(dict(_plain(y))), gamma)
+    # q is not an image, and neither is anything that differs from one by delta_q
+    assert emb.preimage(y + delta(W.BCS, (W.Q,))) is None
+
+
+# gamma_n = (re * n, im): never zero, and never positive unless re > 0 = im, which is left out
+_nonpositive = _pairs.filter(lambda c: c[1] or c[0] < 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=_nonpositive, terms=_sinf_terms)
+def test_psi_epsilon_inverts_phi_for_any_nonzero_gamma(c, terms):
+    # Embedding refuses gamma <= 0, so the claim for a negative or complex gamma is checked on the oracles alone
+    def gamma(n):
+        return (c[0] * n, c[1])
+
+    x = collect_by_expansion(terms.items())
+    assert psi_by_rewriting(epsilon_by_rewriting(phi_of_element_by_expansion(x, gamma)), gamma) == x

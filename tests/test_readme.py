@@ -34,6 +34,8 @@ def test_readme_library_quick_start():
     scope: dict = {}
     exec(body, scope)
     assert len(scope["image"].terms) == 4  # "four terms"
+    assert scope["x"] == scope["delta"](scope["SINF"], (scope["t"](1), scope["t"](2)))  # "t1 t2 again"
+    assert scope["outside"] is None
     assert not scope["result"].found and scope["result"].rank_augmented > scope["result"].rank  # "infeasible"
 
 

@@ -214,6 +214,24 @@ def test_enumerate_words_rejects_oversized_requests(monkeypatch):
     assert len(W.enumerate_words(13, 0, W.SINF)) == 1
 
 
+def test_free_part_and_block_part_pinned_values():
+    w = (W.Q, T(1), B(2, 1), T(2, True))
+    assert W.free_part(w) == (T(1), T(2, True))
+    assert W.block_part(w) == B(3, 1)  # q q^2 p
+    assert W.free_part(()) == () and W.block_part(()) == W.BC_IDENTITY
+    assert W.block_part((W.P, T(1), W.Q)) == W.BC_IDENTITY  # pq = e across the free letter
+
+
+def test_free_part_and_block_part_are_monoid_maps():
+    rng = random.Random(37)
+    for _ in range(500):
+        u = random_word(rng, W.BCS, max_len=4, max_index=3)
+        v = random_word(rng, W.BCS, max_len=4, max_index=3)
+        uv = pw_mul_by_rewriting(u, v)
+        assert W.free_part(uv) == W.free_part(u) + W.free_part(v)
+        assert W.block_part(uv) == bc_mul_by_rewriting(W.block_part(u), W.block_part(v))
+
+
 def test_map_to_f2_pinned_values():
     x, y = ("x", 1), ("y", 1)
     assert W.map_to_f2((T(1),)) == (x, y, x)
