@@ -450,21 +450,30 @@ _COMMANDS = {
 
 
 def _build(command=None) -> tuple:
-    """The top-level parser and a name -> subparser table: for ``command``
-    alone, or for all 14 when ``command`` names none (``-h``, an unknown
-    command, an empty argv).
+    """The parser to run and a name -> command parser table, in two shapes.
 
-    Built per call and never cached: a kept tree would carry one call's
+    When ``command`` names one of the 14 commands, the parser is that
+    command's own, ``pqt <command>``, and the table holds it alone: it parses
+    what follows the name.  Otherwise (``-h``, an unknown command, an empty
+    argv) the parser is the full ``pqt`` tree, whose subparsers list every
+    command.  A flat parser reports the same messages and the same ``prog``
+    as the subparser it stands for, since ``_Parser.error`` and
+    ``_Parser.exit`` report only those.
+
+    Built per call and never cached: a kept parser would carry one call's
     ``--config`` defaults (``_apply_config`` writes ``action.default`` and
     ``action.required``) into the next, would keep handlers and verifiers
     patched out since it was built, and its throughput would push the
     ``interactive`` benchmark's peak RSS over its bound (ROADMAP item 5).
     """
+    if command in _COMMANDS:
+        parser = _Parser(prog=f"pqt {command}")
+        _COMMANDS[command][1](parser)
+        return parser, {command: parser}
     parser = _Parser(prog="pqt", description="Exact workbench for bicyclic/free *-monoid algebras")
     subcommands = parser.add_subparsers(dest="command", required=True)
     table = {}
-    for name in [command] if command in _COMMANDS else _COMMANDS:
-        help_text, add_arguments = _COMMANDS[name]
+    for name, (help_text, add_arguments) in _COMMANDS.items():
         table[name] = subcommands.add_parser(name, help=help_text)
         add_arguments(table[name])
     return parser, table
@@ -487,10 +496,14 @@ def _main(argv: list) -> int:
     try:
         argv, config = _extract_config(argv)
         # the top-level parser has no option but -h, so a command can only be reached as argv[0]
-        parser, table = _build(argv[0] if argv else None)
+        command = argv[0] if argv else None
+        parser, table = _build(command)
         if config:
             _apply_config(table, argv, config)
-        args = parser.parse_args(argv)
+        if parser is table.get(command):  # the command's own parser: it parses what follows the name
+            args = parser.parse_args(argv[1:], argparse.Namespace(command=command))
+        else:
+            args = parser.parse_args(argv)
     except _UsageError as e:
         _emit({"result": "error", "message": str(e)})
         print(f"usage error: {e}", file=sys.stderr)

@@ -245,12 +245,10 @@ def boundary_exactness_check(window: int, cfg: RepConfig | None = None) -> Bound
         raise ValueError(f"window {window} must satisfy 0 <= window < dim/2 = {d // 2}")
     failures: list = []
     words = W.bc_elements(window)
-    vectors = range(window, d - window)
+    vectors = np.arange(window, d - window)
     for bc in words:
-        mat = rep.item_matrix(bc)
-        for i in vectors:
-            col = mat[:, i]
-            target = i - bc.b + bc.a
-            if col[target] != 1.0 or np.count_nonzero(col) != 1:
-                failures.append({"word": W.render_word(W.BC, (bc,)), "vector": i})
+        # all interior columns at once: a 1.0 on the target row, and no other nonzero
+        cols = rep.item_matrix(bc)[:, window : d - window]
+        exact = (cols[vectors - bc.b + bc.a, vectors - window] == 1.0) & (np.count_nonzero(cols, axis=0) == 1)
+        failures += [{"word": W.render_word(W.BC, (bc,)), "vector": int(i)} for i in vectors[~exact]]
     return BoundaryReport(window, d, len(words), len(vectors), failures)

@@ -8,7 +8,8 @@ expanding again, element sums and products by summing each distinct word's
 coefficient over plain Fraction pairs, the free-product moment by the
 literal two-level centered expansion, the coordinate lemma by the scan
 over every (target, candidate) pair on the images the embedding builds,
-the operator norm by a Hermitian eigensolver instead of an SVD, positive
+the operator norm by a Hermitian eigensolver instead of an SVD, the
+boundary check one column at a time, positive
 semidefiniteness by the signs of all principal minors instead of an
 elimination, or by the fraction-free elimination on the full matrix
 instead of its upper triangle, the collapsed blocks of a state Gram by
@@ -263,6 +264,20 @@ def op_norm_eigh(a) -> float:
     """||a|| = sqrt(largest eigenvalue of a^H a), from the Hermitian eigensolver."""
     a = np.asarray(a, dtype=complex)
     return float(np.sqrt(max(np.linalg.eigvalsh(a.conj().T @ a)[-1], 0.0)))
+
+
+def boundary_failures_by_column(rep, window: int) -> list:
+    """The boundary check's failures, one word and one interior column at a
+    time: the column must hold 1.0 on row i - b + a and no other nonzero."""
+    d = rep.cfg.dim
+    failures = []
+    for bc in W.bc_elements(window):
+        mat = rep.item_matrix(bc)
+        for i in range(window, d - window):
+            col = mat[:, i]
+            if col[i - bc.b + bc.a] != 1.0 or np.count_nonzero(col) != 1:
+                failures.append({"word": W.render_word(W.BC, (bc,)), "vector": i})
+    return failures
 
 
 # -- literal two-level moment expansion -------------------------------------------

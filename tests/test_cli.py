@@ -501,8 +501,12 @@ def test_cli_command_table_lists_every_command():
     assert list(cli._COMMANDS) == COMMANDS == list(COMMAND_ARGVS)
 
 
-def test_cli_one_command_tree_parses_as_the_full_tree(capsys, monkeypatch, tmp_path):
-    # every handler echoes what it was handed, so the runs compare the parses, not the work
+def _parse_both_ways(capsys, monkeypatch, argvs) -> list:
+    """(argv, exit code, stdout, stderr) of each argv through the one-command
+    parser, asserted equal to the same through the full tree.
+
+    Every handler echoes what it was handed, so the runs compare the parses,
+    not the work."""
     from pqt import cli
 
     def echo(name):
@@ -512,8 +516,26 @@ def test_cli_one_command_tree_parses_as_the_full_tree(capsys, monkeypatch, tmp_p
         handler.__name__ = name
         return handler
 
-    for name in [name for name in vars(cli) if name.startswith("_cmd_")]:
-        monkeypatch.setattr(cli, name, echo(name))
+    with monkeypatch.context() as patch:
+        for name in [name for name in vars(cli) if name.startswith("_cmd_")]:
+            patch.setattr(cli, name, echo(name))
+        build = cli._build
+
+        def outputs():
+            got = []
+            for argv in argvs:
+                code = main(argv)
+                got.append((argv, code, *capsys.readouterr()))
+            return got
+
+        one_command = outputs()
+        patch.setattr(cli, "_build", lambda command=None: build())
+        full_tree = outputs()
+    assert one_command == full_tree
+    return one_command
+
+
+def test_cli_one_command_tree_parses_as_the_full_tree(capsys, monkeypatch, tmp_path):
     argvs = [[], ["-h"], ["no-such-command"], ["--config"]]
     for command, (required, full, config) in COMMAND_ARGVS.items():
         cfg = tmp_path / f"{command}.json"
@@ -527,25 +549,58 @@ def test_cli_one_command_tree_parses_as_the_full_tree(capsys, monkeypatch, tmp_p
             [command],
             [command, "-h"],
         ]
-    build = cli._build
-
-    def outputs():
-        got = []
-        for argv in argvs:
-            code = main(argv)
-            got.append((argv, code, *capsys.readouterr()))
-        return got
-
-    one_command = outputs()
-    monkeypatch.setattr(cli, "_build", lambda command=None: build())
-    full_tree = outputs()
-    assert one_command == full_tree
+    argvs += [
+        ["normalize", "--universe", "bc", "-1/2*q"],  # a leading negative scalar is an operand, not an option
+        ["mul", "--universe", "bc", "-1*p", "-2*q + p"],
+        ["normalize", "--universe", "bc", "--", "-1*p"],
+        ["normalize", "--uni", "bc", "p"],  # an abbreviated flag
+        ["lemma-support", "--m", "x", "--k", "1"],  # a bad integer
+        ["normalize", "--universe", "zz", "p"],  # a bad choice
+        ["normalize", "--universe", "bc", "p", "q"],  # extra positionals
+        ["trace", "x", "y", "x-"],
+        ["rank", "--m", "1", "--k", "1", "--", "extra"],
+    ]
+    one_command = _parse_both_ways(capsys, monkeypatch, argvs)
     # the echo ran for every command, flags and config values included
     parsed = {tuple(argv): json.loads(out) for argv, code, out, _ in one_command if code == 0}
     assert parsed[("moment", *COMMAND_ARGVS["moment"][1])] == {
         "command": "moment", "universe": "bc", "expr": "q p", "z": "1/3", "vacuum": True, "handler": "_cmd_moment"}
     assert parsed[("--config", str(tmp_path / "rank.json"), "rank", "--m", "1", "--k", "1")]["verifier"] == "injectivity_rank"
     assert parsed[("rank", "--m", "1", "--k", "1")]["gamma"] == "1/n"
+    assert parsed[("normalize", "--universe", "bc", "-1/2*q")]["expr"] == "-1/2*q"
+    assert parsed[("normalize", "--universe", "bc", "--", "-1*p")]["expr"] == "-1*p"
+    assert parsed[("normalize", "--uni", "bc", "p")]["universe"] == "bc"
+    refused = {tuple(argv): json.loads(out)["message"] for argv, code, out, _ in one_command if code == 2}
+    assert refused[("lemma-support", "--m", "x", "--k", "1")] == "argument --m: invalid int value: 'x'"
+    assert refused[("normalize", "--universe", "bc", "p", "q")] == "unrecognized arguments: q"
+
+
+def test_cli_benchmark_requests_parse_as_the_full_tree(capsys, monkeypatch):
+    # the interactive benchmark's own argvs, recorded from its jobs; bench/ is imported, not written to
+    import importlib
+    import sys
+    from pathlib import Path
+
+    from pqt import cli
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    fresh = [name for name in ("workloads", "oracle") if name not in sys.modules]
+    sent = []
+    try:
+        workloads = importlib.import_module("workloads")
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "main", lambda argv: sent.append(list(argv)) or 0)
+            for seed in (1, 2):
+                for job in workloads.build_interactive(seed):
+                    job.run()
+    finally:
+        for name in fresh:
+            sys.modules.pop(name, None)
+    assert len(sent) == 2 * sum(workloads.INTERACTIVE_MIX.values())
+    assert {argv[0] for argv in sent} == set(workloads.INTERACTIVE_MIX)
+    parsed = _parse_both_ways(capsys, monkeypatch, sent)
+    assert all(code == 0 and json.loads(out)["command"] == argv[0] for argv, code, out, _ in parsed)
 
 
 def test_cli_unknown_command_and_top_level_help_see_every_command(capsys):
@@ -573,9 +628,9 @@ def test_cli_builds_only_the_parser_it_runs(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli._Parser, "__init__", counting)
     for argv, parsers in (
-        (["normalize", "--universe", "bc", "q"], 2),
+        (["normalize", "--universe", "bc", "q"], 1),  # the command's own parser, with no root above it
         (["--config", str(tmp_path / "missing.json"), "rank"], 0),  # the config file is read, and refused, first
-        (["rank", "--m", "1", "--k", "1", "-h"], 2),
+        (["rank", "--m", "1", "--k", "1", "-h"], 1),
         (["-h"], 15),
         (["no-such-command"], 15),
         ([], 15),

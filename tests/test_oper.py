@@ -1,5 +1,6 @@
 """Truncated representation: structure, norms, convergence, boundary contract."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -19,7 +20,7 @@ from pqt.oper import (
     gamma_from_rep,
     op_norm,
 )
-from oracles import op_norm_eigh, random_element
+from oracles import boundary_failures_by_column, op_norm_eigh, random_element
 
 B = W.BCElement
 T = W.t
@@ -249,6 +250,31 @@ def test_boundary_exactness(rep):
     assert np.array_equal(p3[:, 5], e[:, 2])
     with pytest.raises(ValueError):
         boundary_exactness_check(40, CFG)
+
+
+def test_boundary_exactness_reports_each_inexact_column(monkeypatch):
+    # q p p gets a wrong target at e_9 and an extra nonzero at e_5; q q a wrong target at e_3
+    item_matrix = ShiftRepresentation.item_matrix
+
+    def tampered(self, item):
+        out = item_matrix(self, item)
+        if item == B(1, 2):
+            out = out.copy()
+            out[9 - 2 + 1, 9] = 0.5
+            out[0, 5] = 1e-300
+        elif item == B(2, 0):
+            out = out.copy()
+            out[3 + 2, 3] = -1.0
+        return out
+
+    monkeypatch.setattr(ShiftRepresentation, "item_matrix", tampered)
+    cfg = RepConfig(dim=16, max_index=2)
+    report = boundary_exactness_check(3, cfg)
+    assert report.failures == boundary_failures_by_column(ShiftRepresentation(cfg), 3)
+    assert report.failures == [{"word": "q p p", "vector": 5}, {"word": "q p p", "vector": 9}, {"word": "q q", "vector": 3}]
+    assert all(type(f["vector"]) is int for f in report.failures)
+    assert json.loads(json.dumps(report.to_dict()))["failures"] == report.failures
+    assert not report.passed and (report.words_checked, report.vectors_checked) == (10, 10)
 
 
 def test_adjoint_consistency_on_random_elements(rep):
