@@ -13,8 +13,9 @@ finite length filtrations and exactly:
 The first three read only which words an image contains.  Every gamma_n
 is positive, so each coefficient of an image is a sum of positive
 products and none cancels: the support is the set of words the letter
-choices reach, whatever gamma is.  ``Embedding.word_support`` builds it
-without scalars; exact images come only from ``word_image``.
+choices reach, whatever gamma is.  ``Embedding.stage_supports`` builds
+a stage's supports without scalars, one length at a time from the
+previous length's; exact images come only from ``word_image``.
 
 It also hosts length-bounded one-sided inverse searches (the desk-scale
 finiteness and infiniteness demonstrations) and matrices over elements.
@@ -26,7 +27,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import LimitExceeded, UniverseMismatch
 from . import words as W
@@ -92,7 +93,6 @@ class Embedding:
     def __init__(self, gamma: GammaSequence | None = None):
         self.gamma = gamma if gamma is not None else GammaSequence.reciprocal()
         self._word_images: dict = {(): unit(W.BCS)}
-        self._word_supports: dict = {(): frozenset([()])}
 
     def generator_image(self, g: W.FreeGen) -> Element:
         weight = GaussianRational(self.gamma(g.index))
@@ -122,23 +122,48 @@ class Embedding:
             pairs += ((mul(u, base), c), (u + letter, c * weight))
         return Element._raw(W.BCS, _collect(pairs))
 
-    def word_support(self, w) -> frozenset:
-        """The words of ``word_image(w)``, by the letter choices of ``_extend``.
+    def stage_supports(self, words: Sequence) -> Iterator[tuple]:
+        """Yield (w, the words of ``word_image(w)``) for each of ``words``, in order.
 
         No coefficient of an image cancels, as every gamma_n is positive, so
-        this is ``set(word_image(w).terms)`` without a scalar.  The caller
-        checks gamma: this never evaluates it.
+        a support is ``set(word_image(w).terms)`` without a scalar: its
+        prefix's words, each times the base letter and times the free one,
+        as ``_extend`` chooses.  ``words`` is sorted by length, with every
+        word's prefix before it; only the previous length's supports are
+        kept, and the last length's are never stored.  The caller checks
+        gamma: this never evaluates it.
         """
-        cached = self._word_supports.get(w)
-        if cached is None:
-            g = w[-1]
-            base = (W.Q if g.starred else W.P,)
-            letter = (g,)
-            mul = W.pw_mul
-            prefix = self.word_support(w[:-1])
-            cached = frozenset([mul(u, base) for u in prefix] + [u + letter for u in prefix])
-            self._word_supports[w] = cached
-        return cached
+        last = len(words[-1]) if words else 0
+        block, bc_mul, identity = W.BCElement, W.bc_mul, W.BC_IDENTITY
+        prev: dict = {}
+        level: dict = {}
+        n = 0
+        for w in words:
+            if len(w) > n:
+                prev, level, n = level, {}, len(w)
+            if not w:
+                support = frozenset([()])
+            else:
+                try:
+                    prefix = prev[w[:-1]]
+                except KeyError:
+                    word = W.render_word(W.SINF, w)
+                    raise ValueError(f"stage_supports needs words sorted by length, each after its prefix: {word}") from None
+                g = w[-1]
+                base = W.Q if g.starred else W.P
+                letter, tail = (g,), (base,)
+                out = [u + letter for u in prefix]
+                # u * base touches only u's last item, a block it merges into or a free letter
+                for u in prefix:
+                    if u and type(u[-1]) is block:
+                        merged = bc_mul(u[-1], base)
+                        out.append(u[:-1] if merged is identity else u[:-1] + (merged,))
+                    else:
+                        out.append(u + tail)
+                support = frozenset(out)
+            if n < last:
+                level[w] = support
+            yield w, support
 
     def apply(self, x: Element) -> Element:
         if x.universe != W.SINF:
@@ -213,15 +238,14 @@ def _stage(m: int, k: int, gamma: GammaSequence | None) -> tuple:
 def verify_support_bound(m: int, k: int, gamma: GammaSequence | None = None) -> CheckReport:
     """Image of every length-m' word stays inside the length-m' filtration stage.
 
-    Reads the gamma-independent supports (``Embedding.word_support``).
+    Reads the gamma-independent supports (``Embedding.stage_supports``).
     """
     start = time.perf_counter()
     emb, words = _stage(m, k, gamma)
     counterexample = None
     checked = terms = 0
-    for w in words:
+    for w, support in emb.stage_supports(words):
         checked += 1
-        support = emb.word_support(w)
         terms += len(support)
         got = max(map(len, support))
         if got > len(w):
@@ -255,8 +279,7 @@ def verify_coordinate_separation(m: int, k: int, gamma: GammaSequence | None = N
     target_index = {w: t for t, w in enumerate(targets)}
     first = None  # (target index, candidate index) of the first violation
     terms = 0
-    for c, y in enumerate(candidates):
-        support = emb.word_support(y)
+    for c, (y, support) in enumerate(emb.stage_supports(candidates)):
         terms += len(support)
         bad = [target_index[u] for u in support if u != y and u in target_index]
         if len(y) == m and y not in support:
@@ -368,10 +391,11 @@ def _triangular(w, support: frozenset) -> bool:
     if w not in support:
         return False
     n = len(w)
-    free = W.FreeGen
-    return not any(
-        len(u) >= n and u != w and all(type(x) is free for x in u) for u in support
-    )
+    block = W.BCElement
+    for u in support:
+        if len(u) >= n and u != w and block not in map(type, u):
+            return False
+    return True
 
 
 def injectivity_rank(m: int, k: int, gamma: GammaSequence | None = None) -> CheckReport:
@@ -386,9 +410,14 @@ def injectivity_rank(m: int, k: int, gamma: GammaSequence | None = None) -> Chec
     """
     start = time.perf_counter()
     emb, basis = _stage(m, k, gamma)
-    supports = [emb.word_support(w) for w in basis]
-    support: set = set().union(*supports)
-    if all(map(_triangular, basis, supports)):
+    support: set = set()
+    terms = 0
+    triangular = True
+    for w, s in emb.stage_supports(basis):
+        support |= s
+        terms += len(s)
+        triangular = triangular and _triangular(w, s)
+    if triangular:
         rank, pivots = len(basis), 0
     else:
         if len(basis) * len(support) > W.DEFAULT_MAX_CELLS:
@@ -404,7 +433,7 @@ def injectivity_rank(m: int, k: int, gamma: GammaSequence | None = None) -> Chec
         result="pass" if rank == len(basis) else "fail",
         details={"rank": rank, "dimension": len(basis), "matrix_dims": [len(basis), len(support)]},
         elapsed_ms=elapsed,
-        stats={"words": len(basis), "image_terms": sum(map(len, supports)), "pivots": pivots},
+        stats={"words": len(basis), "image_terms": terms, "pivots": pivots},
     )
 
 
@@ -451,6 +480,8 @@ def inverse_search(a: Element, side: str, m: int, *, k_extra: int = 0) -> Invers
     """
     if a.is_zero():
         raise ValueError("cannot search for an inverse of the zero element")
+    if k_extra < 0:
+        raise ValueError("k_extra must be >= 0")
     start = time.perf_counter()
     blocks, rank, rank_aug, stats = _inverse_blocks(((a,),), side, m, k_extra)
     x = None if blocks is None else blocks[0][0]
@@ -537,7 +568,7 @@ def _inverse_blocks(entries: Sequence[Sequence[Element]], side: str, m: int, k_e
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     uni, n = entries[0][0].universe, len(entries)
     max_index = max((W.max_free_index(uni, w) for row in entries for el in row for w in el.terms), default=0)
-    cands = W.enumerate_words(m, max(0, max_index + k_extra), uni)
+    cands = W.enumerate_words(m, max_index + k_extra, uni)
     ncand, mul = len(cands), W.word_mul
     row_of: dict = {(r, W.identity_word(uni)): r for r in range(n)}
     rows: list = [{} for _ in range(n)]

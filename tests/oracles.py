@@ -575,11 +575,14 @@ def psd_int_full(m_rows: list) -> tuple:
 def patch_word_images(monkeypatch, tampered) -> None:
     """Make ``tampered(self, w)`` the embedding's word images, for every reader.
 
-    The verifiers read supports, not images, so ``word_support`` is patched
-    to the support of the tampered image: a tamper reaches both paths.
+    The verifiers read supports, not images, so ``stage_supports`` is
+    patched to yield the support of each tampered image: a tamper reaches
+    both paths.
     """
     monkeypatch.setattr(Embedding, "word_image", tampered)
-    monkeypatch.setattr(Embedding, "word_support", lambda self, w: frozenset(self.word_image(w).terms))
+    monkeypatch.setattr(
+        Embedding, "stage_supports", lambda self, words: ((w, frozenset(self.word_image(w).terms)) for w in words)
+    )
 
 
 # -- the coordinate systems of the inverse searches, recounted -----------------------

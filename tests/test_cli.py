@@ -124,6 +124,12 @@ def test_cli_inverse_search_exit_codes(capsys):
     assert code == 1 and payload["result"] == "infeasible"
 
 
+def test_cli_inverse_search_refuses_a_negative_k_extra(capsys):
+    argv = ["inv-search", "--universe", "sinf", "--side", "left", "--m", "2", "--k-extra", "-2", "1*e + 1/2*t1"]
+    code, payload = run_cli(capsys, *argv)
+    assert code == 2 and payload == {"result": "error", "message": "k_extra must be >= 0"}
+
+
 def test_cli_moment_and_gram(capsys):
     code, payload = run_cli(capsys, "moment", "q t1 p")
     assert code == 0 and payload["result"] == "1/4"

@@ -1,6 +1,7 @@
 """The weighted embedding, its verifiers, and the inverse searches."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,54 @@ def test_word_image_matches_expansion_oracle(gamma, m, k):
             assert list(image.terms.items()) == list(product.terms.items())
 
 
+@pytest.mark.parametrize("m, k", [(0, 3), (3, 0), (1, 4), (3, 2), (2, 3), (4, 1)])
+def test_stage_supports_match_expansion_oracle(m, k):
+    gamma = GAMMAS[0]
+    words = W.enumerate_words(m, k, W.SINF)
+    swept = list(Embedding(gamma).stage_supports(words))
+    assert [w for w, _ in swept] == words
+    for w, support in swept:
+        assert support == set(phi_by_expansion(w, gamma)), w
+
+
+def test_stage_supports_refuse_a_missing_prefix():
+    emb = Embedding()
+    for words in ([(T(1),)], [(), (T(1), T(2))], [(), (T(1),), (T(1), T(2)), (T(2),)]):
+        with pytest.raises(ValueError, match="stage_supports needs"):
+            list(emb.stage_supports(words))
+
+
+def test_stage_supports_keep_one_level():
+    # the verifier's peak stays well under what the stage's supports take when all are held
+    words = W.enumerate_words(5, 2, W.SINF)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = dict(Embedding().stage_supports(words))
+        held_bytes = tracemalloc.get_traced_memory()[0] - base
+        del held
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert verify_support_bound(5, 2).passed
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < held_bytes / 2, (peak, held_bytes)
+
+
+def test_verifier_reports_at_the_largest_stages():
+    report = verify_support_bound(6, 2)
+    assert report.passed and report.details["words_checked"] == 5461 and report.stats["image_terms"] == 295209
+    report = verify_support_bound(5, 3)
+    assert report.passed and report.details["words_checked"] == 9331 and report.stats["image_terms"] == 269878
+    report = injectivity_rank(6, 2)
+    assert report.passed and report.details["rank"] == report.details["dimension"] == 5461
+    assert report.details["matrix_dims"] == [5461, 48756] and report.stats["pivots"] == 0
+    report = verify_coordinate_separation(4, 3)
+    assert report.passed
+    assert report.details == {"targets": 1296, "candidates": 1555, "pairs_checked": 2015280}
+
+
 @pytest.mark.parametrize("m, k", [(3, 2), (2, 3)])
 def test_verifier_work_counts(m, k):
     gamma = GAMMAS[0]
@@ -355,6 +404,13 @@ def test_inverse_search_two_sided_consistency():
     left = inverse_search(b, "left", 2)
     assert right.found and left.found
     assert right.solution == left.solution == delta(W.F2, (("x", -1),))
+
+
+def test_inverse_search_rejects_a_negative_k_extra():
+    a = unit(W.SINF) + delta(W.SINF, (T(1),)).scale(Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"k_extra must be >= 0"):
+        inverse_search(a, "left", 2, k_extra=-2)
+    assert inverse_search(a, "left", 2, k_extra=0).candidates == 7
 
 
 def test_inverse_search_verified_by_multiplication():
