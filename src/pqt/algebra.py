@@ -8,6 +8,7 @@ is nonzero" checks elsewhere meaningful.
 
 from __future__ import annotations
 
+import numbers
 import re
 import sys
 from fractions import Fraction
@@ -32,6 +33,18 @@ def _reduced(x: int, y: int, d: int) -> "GaussianRational":
     return z
 
 
+def exact_fraction(value) -> Fraction:
+    """An int or a ``numbers.Rational`` (Fraction, a numpy integer) as a Fraction.
+
+    Anything else raises TypeError: a float would enter as its binary expansion.
+    """
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, numbers.Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
+    raise TypeError(f"an exact scalar must be an int or a rational number, not {type(value).__name__}")
+
+
 class GaussianRational:
     """(x + y*i)/d over the integers, canonical: d > 0 and gcd(x, y, d) = 1.
 
@@ -47,13 +60,13 @@ class GaussianRational:
         if type(re) is int:
             a, b = re, 1
         else:
-            re = re if isinstance(re, Fraction) else Fraction(re)
+            re = exact_fraction(re)
             # int(): a Fraction built from a numpy integer keeps it, and numpy integers overflow
             a, b = int(re.numerator), int(re.denominator)
         if type(im) is int and im == 0:
             self.x, self.y, self.d = a, 0, b
             return
-        im = im if isinstance(im, Fraction) else Fraction(im)
+        im = exact_fraction(im)
         c, e = int(im.numerator), int(im.denominator)
         # canonical with no reduction: a prime p of d = lcm(b, e) divides b (say) as often as d,
         # so p divides neither d/b nor a, hence not x = a d/b
@@ -206,11 +219,7 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _coerce(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a scalar")
+    return x if isinstance(x, GaussianRational) else GaussianRational(x)
 
 
 ZERO = GaussianRational(0)

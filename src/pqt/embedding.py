@@ -17,8 +17,9 @@ choices reach, whatever gamma is.  ``Embedding.stage_supports`` builds
 a stage's supports without scalars, one length at a time from the
 previous length's; exact images come only from ``word_image``.
 
-It also hosts length-bounded one-sided inverse searches (the desk-scale
-finiteness and infiniteness demonstrations) and matrices over elements.
+It also hosts matrices over elements and one length-bounded one-sided
+inverse search for both (the desk-scale finiteness and infiniteness
+demonstrations).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import LimitExceeded, UniverseMismatch
 from . import words as W
-from .algebra import Element, GaussianRational, ONE, ZERO, _collect, _parse_fraction, unit, zero
+from .algebra import Element, GaussianRational, ONE, ZERO, _collect, _parse_fraction, exact_fraction, unit, zero
 
 _RHS = -1  # sentinel column id for augmented systems
 
@@ -44,7 +45,7 @@ class GammaSequence:
         self.name = name
 
     def __call__(self, n: int) -> Fraction:
-        value = Fraction(self._fn(n))
+        value = exact_fraction(self._fn(n))
         if value <= 0:
             raise ValueError(f"gamma({n}) = {value} must be positive")
         return value
@@ -58,7 +59,7 @@ class GammaSequence:
 
     @classmethod
     def constant(cls, value=1) -> "GammaSequence":
-        value = Fraction(value)
+        value = exact_fraction(value)
         return cls(lambda n: value, str(value))
 
     @classmethod
@@ -437,60 +438,6 @@ def injectivity_rank(m: int, k: int, gamma: GammaSequence | None = None) -> Chec
     )
 
 
-# -- one-sided inverse searches -------------------------------------------------
-
-
-@dataclass
-class InverseSearchResult:
-    found: bool
-    solution: Element | None
-    side: str
-    universe: str
-    m: int
-    k_extra: int
-    candidates: int
-    rank: int
-    rank_augmented: int
-    elapsed_ms: float = 0.0
-    # candidates, system rows and elimination pivots; not part of to_dict()
-    stats: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "check": "inverse-search",
-            "params": {"side": self.side, "universe": self.universe, "m": self.m, "k_extra": self.k_extra},
-            "result": "found" if self.found else "infeasible",
-            "candidates": self.candidates,
-            "rank": self.rank,
-            "rank_augmented": self.rank_augmented,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
-        if self.solution is not None:
-            out["solution"] = self.solution.render()
-        return out
-
-
-def inverse_search(a: Element, side: str, m: int, *, k_extra: int = 0) -> InverseSearchResult:
-    """Decide exactly whether a length-bounded one-sided inverse exists.
-
-    Solves the coordinate linear system of a*x = 1 (or x*a = 1) over all
-    candidate words of length <= m whose generator indices are bounded by
-    those in ``a`` plus ``k_extra``.  Infeasibility is certified relative
-    to those bounds by rank(augmented) > rank(system).
-    """
-    if a.is_zero():
-        raise ValueError("cannot search for an inverse of the zero element")
-    if k_extra < 0:
-        raise ValueError("k_extra must be >= 0")
-    start = time.perf_counter()
-    blocks, rank, rank_aug, stats = _inverse_blocks(((a,),), side, m, k_extra)
-    x = None if blocks is None else blocks[0][0]
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return InverseSearchResult(
-        blocks is not None, x, side, a.universe, m, k_extra, stats["candidates"], rank, rank_aug, elapsed, stats
-    )
-
-
 # -- matrices over elements -----------------------------------------------------
 
 
@@ -528,8 +475,12 @@ class ElementMatrix:
             return NotImplemented
         return self.entries == other.entries
 
+    def render(self) -> list:
+        """The rows, each a list of rendered entries."""
+        return [[el.render() for el in row] for row in self.entries]
+
     def __repr__(self):
-        body = "; ".join(", ".join(el.render() for el in row) for row in self.entries)
+        body = "; ".join(", ".join(row) for row in self.render())
         return f"<ElementMatrix {self.rows}x{self.cols} over {self.universe}: [{body}]>"
 
 
@@ -550,23 +501,62 @@ def mat_mul(a: ElementMatrix, b: ElementMatrix) -> ElementMatrix:
     return ElementMatrix(out)
 
 
-def _inverse_blocks(entries: Sequence[Sequence[Element]], side: str, m: int, k_extra: int) -> tuple:
-    """Solve for a one-sided inverse X of the square matrix A, block by block.
+# -- one-sided inverse searches -------------------------------------------------
+
+
+@dataclass
+class InverseSearchResult:
+    found: bool
+    solution: Element | ElementMatrix | None
+    side: str
+    universe: str
+    m: int
+    k_extra: int
+    candidates: int
+    rank: int
+    rank_augmented: int
+    elapsed_ms: float = 0.0
+    # candidates, and system rows and elimination pivots summed over the blocks solved; not part of to_dict()
+    stats: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        out = {
+            "check": "inverse-search",
+            "params": {"side": self.side, "universe": self.universe, "m": self.m, "k_extra": self.k_extra},
+            "result": "found" if self.found else "infeasible",
+            "candidates": self.candidates,
+            "rank": self.rank,
+            "rank_augmented": self.rank_augmented,
+            "elapsed_ms": round(self.elapsed_ms, 3),
+        }
+        if self.solution is not None:
+            out["solution"] = self.solution.render()
+        return out
+
+
+def _search(a: Element | ElementMatrix, side: str, m: int, k_extra: int) -> InverseSearchResult:
+    """Solve for a one-sided inverse X of the square matrix A, an element being the 1 x 1 case.
 
     Block ``index`` is column ``index`` of X in A X = I for side "right",
-    row ``index`` of X in X A = I for side "left".  Each of its n entries
-    is a combination of the candidate words of length <= m whose generator
-    indices are bounded by those in A plus ``k_extra``.  The system's rows
-    are the coordinates (r, u) of the n products, built once from word
-    products; only the right-hand side, 1 on identity row ``index``,
-    depends on the block, and ``sparse_solve`` eliminates a copy.  Returns
-    (the solved blocks | None, rank, augmented rank, stats): the ranks are
-    the last block's, the rank is its number of elimination pivots, and
-    stats sums rows and pivots over the blocks solved.
+    row ``index`` of X in X A = I for side "left".  Its n entries combine
+    the candidate words of length <= m whose generator indices are bounded
+    by those in A plus ``k_extra``.  The rows, the coordinates (r, u) of
+    the n products, are built once; only the right-hand side, 1 on identity
+    row ``index``, depends on the block.  The search stops at the first
+    infeasible block, and reports the last block's ranks as its certificate.
     """
+    entries = ((a,),) if isinstance(a, Element) else a.entries
+    n = len(entries)
+    if len(entries[0]) != n:
+        raise ValueError("inverse search needs a square matrix")
+    if all(el.is_zero() for row in entries for el in row):
+        raise ValueError("cannot search for an inverse of the zero element")
+    if k_extra < 0:
+        raise ValueError("k_extra must be >= 0")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    uni, n = entries[0][0].universe, len(entries)
+    start = time.perf_counter()
+    uni = a.universe
     max_index = max((W.max_free_index(uni, w) for row in entries for el in row for w in el.terms), default=0)
     cands = W.enumerate_words(m, max_index + k_extra, uni)
     ncand, mul = len(cands), W.word_mul
@@ -595,50 +585,37 @@ def _inverse_blocks(entries: Sequence[Sequence[Element]], side: str, m: int, k_e
         stats["rows"] += len(rows)
         stats["pivots"] += rank
         if solution is None:
-            return None, rank, rank_aug, stats
+            break
         terms: list = [[] for _ in range(n)]
         for col, c in solution.items():
             j, w_ix = divmod(col, ncand)
             terms[j].append((cands[w_ix], c))
         blocks.append([Element._raw(uni, _collect(t)) for t in terms])
-    return blocks, rank, rank_aug, stats
+    if len(blocks) < n:
+        x = None
+    elif isinstance(a, Element):
+        x = blocks[0][0]
+    else:
+        x = ElementMatrix(blocks if side == "left" else list(zip(*blocks)))
+    elapsed = (time.perf_counter() - start) * 1000.0
+    return InverseSearchResult(x is not None, x, side, uni, m, k_extra, ncand, rank, rank_aug, elapsed, stats)
 
 
-@dataclass
-class MatrixInverseResult:
-    found: bool
-    matrix: ElementMatrix | None
-    side: str
-    m: int
-    candidates: int
-    elapsed_ms: float = 0.0
-    # candidates, and system rows and pivots summed over the blocks solved; not part of to_dict()
-    stats: dict = field(default_factory=dict)
+def inverse_search(a: Element, side: str, m: int, *, k_extra: int = 0) -> InverseSearchResult:
+    """Decide exactly whether a length-bounded one-sided inverse exists.
 
-    def to_dict(self) -> dict:
-        out = {
-            "check": "matrix-inverse-search",
-            "params": {"side": self.side, "m": self.m},
-            "result": "found" if self.found else "infeasible",
-            "candidates": self.candidates,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
-        if self.matrix is not None:
-            out["matrix"] = [[el.render() for el in row] for row in self.matrix.entries]
-        return out
+    Solves the coordinate linear system of a*x = 1 (or x*a = 1) over all
+    candidate words of length <= m whose generator indices are bounded by
+    those in ``a`` plus ``k_extra``.  Infeasibility is certified relative
+    to those bounds by rank(augmented) > rank(system).
+    """
+    return _search(a, side, m, k_extra)
 
 
-def mat_inverse_search(a: ElementMatrix, side: str, m: int) -> MatrixInverseResult:
-    """Entrywise length-bounded search for a one-sided matrix inverse.
+def mat_inverse_search(a: ElementMatrix, side: str, m: int) -> InverseSearchResult:
+    """``inverse_search`` for a square matrix, with an ``ElementMatrix`` as the solution.
 
     A right inverse solves A X = I column by column; a left inverse X A = I
-    row by row.  Every block is solved exactly on one coefficient system;
-    any infeasible block makes the whole search infeasible.
+    row by row.  An infeasible search certifies its first infeasible block.
     """
-    if a.rows != a.cols:
-        raise ValueError("inverse search needs a square matrix")
-    start = time.perf_counter()
-    blocks, _, _, stats = _inverse_blocks(a.entries, side, m, 0)
-    x = None if blocks is None else ElementMatrix(blocks if side == "left" else list(zip(*blocks)))
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return MatrixInverseResult(x is not None, x, side, m, stats["candidates"], elapsed, stats)
+    return _search(a, side, m, 0)

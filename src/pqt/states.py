@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .errors import LimitExceeded, UniverseMismatch
 from . import words as W
-from .algebra import Element, GaussianRational, ONE, ZERO
+from .algebra import Element, GaussianRational, ONE, ZERO, exact_fraction
 
 
 _F0 = Fraction(0)
@@ -64,7 +64,7 @@ class Character:
     z: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
-        object.__setattr__(self, "z", Fraction(self.z))
+        object.__setattr__(self, "z", exact_fraction(self.z))
 
     def moment_fraction(self, w) -> Fraction:
         return self.z ** len(w)

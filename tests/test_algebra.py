@@ -45,6 +45,11 @@ class TestGaussianRational:
         assert GaussianRational(big) * 4 == GaussianRational(2**64)
         assert GaussianRational(Fraction(1, 3), big) * 4 == GaussianRational(Fraction(4, 3), 2**64)
 
+    @pytest.mark.parametrize("re, im", [(0.1, 0), (1, 0.5), (float("inf"), 0), ("1/2", 0), (1j, 0)])
+    def test_only_ints_and_rationals_are_exact_scalars(self, re, im):
+        with pytest.raises(TypeError, match=type(re if im == 0 else im).__name__):
+            GaussianRational(re, im)
+
     def test_str(self):
         assert str(gr("1/2")) == "1/2"
         assert str(gr(0, 1)) == "0+1i"

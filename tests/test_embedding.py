@@ -52,6 +52,19 @@ def test_gamma_sequences():
     assert str(err.value) == "zero denominator in gamma 'const:1/0'"
 
 
+def test_gamma_constant_refuses_a_float():
+    with pytest.raises(TypeError, match="not float"):
+        GammaSequence.constant(0.1)
+    tenth = Embedding(GammaSequence.constant(Fraction(1, 10)))
+    assert tenth.apply(delta(W.SINF, (T(1),))).render() == "1*p + 1/10*t1"
+
+
+def test_gamma_call_refuses_a_float_weight():
+    with pytest.raises(TypeError, match="not float"):
+        GammaSequence(lambda n: 0.3, "x")(2)
+    assert GammaSequence(lambda n: Fraction(3, 10), "3/10")(2) == Fraction(3, 10)
+
+
 def test_generator_images():
     emb = Embedding(GammaSequence.constant(1))
     assert emb.generator_image(T(1)) == delta(W.BCS, (W.P,)) + delta(W.BCS, (T(1),))
@@ -433,19 +446,23 @@ def test_mat_inverse_search_diagonal_infeasible():
     a = ElementMatrix([[dq, zero(W.BC)], [zero(W.BC), dq]])
     result = mat_inverse_search(a, "right", 4)
     assert not result.found
+    # block 0 fails; adding its right-hand side raises the oracle's coefficient rank by one
+    _, rank = inverse_system_counts([list(row) for row in a.entries], "right", W.enumerate_words(4, 0, W.BC))
+    assert result.rank_augmented > result.rank
+    assert (result.rank, result.rank_augmented) == (rank, rank + 1)
 
 
 def test_mat_inverse_search_elementary_matrix():
     a = ElementMatrix([[unit(W.SINF), delta(W.SINF, (T(1),))], [zero(W.SINF), unit(W.SINF)]])
     result = mat_inverse_search(a, "right", 2)
     assert result.found
-    x = result.matrix
+    x = result.solution
     assert x[0, 1] == -delta(W.SINF, (T(1),))
     eye = ElementMatrix.identity(2, W.SINF)
     assert mat_mul(a, x) == eye
     assert mat_mul(x, a) == eye  # two-sided, as it must be for this unit
     left = mat_inverse_search(a, "left", 2)
-    assert left.found and mat_mul(left.matrix, a) == eye
+    assert left.found and mat_mul(left.solution, a) == eye
 
 
 def test_inverse_search_scalar_multiple_of_identity():
@@ -500,7 +517,13 @@ def test_mat_inverse_search_of_one_entry_is_inverse_search(a, side, m):
     one = inverse_search(a, side, m)
     mat = mat_inverse_search(ElementMatrix([[a]]), side, m)
     assert mat.found == one.found and mat.candidates == one.candidates and mat.stats == one.stats
-    assert (mat.matrix[0, 0] if mat.found else None) == one.solution
+    assert (mat.solution[0, 0] if mat.found else None) == one.solution
+    assert (mat.rank, mat.rank_augmented) == (one.rank, one.rank_augmented)
+    got, want = mat.to_dict(), one.to_dict()
+    del got["elapsed_ms"], want["elapsed_ms"]
+    if one.found:  # the same report, with the solution as a 1 x 1 list of rows
+        assert got.pop("solution") == [[want.pop("solution")]]
+    assert got == want
 
 
 def test_mat_inverse_search_fails_on_a_later_block():
@@ -508,8 +531,39 @@ def test_mat_inverse_search_fails_on_a_later_block():
     a = ElementMatrix([[unit(W.BC), zero(W.BC)], [zero(W.BC), delta(W.BC, W.Q)]])
     result = mat_inverse_search(a, "right", 3)
     assert inverse_system_counts([list(row) for row in a.entries], "right", W.enumerate_words(3, 0, W.BC)) == (21, 20)
-    assert not result.found and result.matrix is None
+    assert not result.found and result.solution is None
     assert result.stats == {"candidates": 10, "rows": 2 * 21, "pivots": 2 * 20}
+    assert (result.rank, result.rank_augmented) == (20, 21)  # the failing block's certificate
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_mat_inverse_search_left_inverse_that_is_not_a_right_inverse(m):
+    # A = diag(q, e) over bcs: X = diag(p, e) has X A = I, but A X = diag(qp, e)
+    dq, e, o = delta(W.BCS, (W.Q,)), unit(W.BCS), zero(W.BCS)
+    a = ElementMatrix([[dq, o], [o, e]])
+    eye = ElementMatrix.identity(2, W.BCS)
+    left = mat_inverse_search(a, "left", m)
+    assert left.found and left.solution == ElementMatrix([[delta(W.BCS, (W.P,)), o], [o, e]])
+    assert mat_mul(left.solution, a) == eye and mat_mul(a, left.solution) != eye
+    right = mat_inverse_search(a, "right", m)
+    assert not right.found and right.solution is None
+    assert right.rank_augmented > right.rank
+    assert right.to_dict()["params"] == {"side": "right", "universe": W.BCS, "m": m, "k_extra": 0}
+
+
+def test_inverse_searches_share_their_argument_checks_in_order():
+    o, e = zero(W.SINF), unit(W.SINF)
+    zero_message = "^cannot search for an inverse of the zero element$"
+    with pytest.raises(ValueError, match="square"):
+        mat_inverse_search(ElementMatrix([[o, o]]), "sideways", 1)
+    with pytest.raises(ValueError, match=zero_message):
+        inverse_search(o, "sideways", 1, k_extra=-1)
+    with pytest.raises(ValueError, match=zero_message):  # the zero element of the matrix ring
+        mat_inverse_search(ElementMatrix([[o, o], [o, o]]), "sideways", 1)
+    with pytest.raises(ValueError, match="k_extra"):
+        inverse_search(e, "sideways", 1, k_extra=-1)
+    with pytest.raises(ValueError, match="side"):
+        mat_inverse_search(ElementMatrix([[o, e], [o, o]]), "sideways", 1)
 
 
 def test_sparse_kernels_against_dense_oracle():

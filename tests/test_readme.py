@@ -37,6 +37,11 @@ def test_readme_library_quick_start():
     assert scope["x"] == scope["delta"](scope["SINF"], (scope["t"](1), scope["t"](2)))  # "t1 t2 again"
     assert scope["outside"] is None
     assert not scope["result"].found and scope["result"].rank_augmented > scope["result"].rank  # "infeasible"
+    a, left, right = scope["a"], scope["left"], scope["right"]
+    eye, o = pqt.ElementMatrix.identity(2, pqt.BCS), pqt.zero(pqt.BCS)
+    assert left.found and left.solution == pqt.ElementMatrix([[scope["dp"], o], [o, pqt.unit(pqt.BCS)]])  # "diag(p, e)"
+    assert pqt.mat_mul(left.solution, a) == eye and pqt.mat_mul(a, left.solution) != eye  # "X A = I but A X != I"
+    assert not right.found and right.rank_augmented > right.rank  # "infeasible"
 
 
 def test_readme_grammar_matches_the_cli_docstring():

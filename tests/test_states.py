@@ -73,6 +73,12 @@ def test_free_moment_single_blocks_defer_to_components():
     assert free_moment(delta(W.BCS, (T(1),)), VACUUM) == ZERO
 
 
+def test_character_refuses_a_float():
+    with pytest.raises(TypeError, match="not float"):
+        Character(0.1)
+    assert Character(np.int64(2)).z == 2 and type(Character(np.int64(2)).z.numerator) is int
+
+
 def test_free_moment_q_t1_p():
     word = W.normalize_items([W.Q, T(1), W.P])
     assert free_moment(delta(W.BCS, word)) == gr("1/4")
