@@ -1,5 +1,8 @@
 """Exact workbench for the bicyclic monoid, free *-monoids, and their free product."""
 
+import sys as _sys
+import types as _types
+
 from .algebra import Element, GaussianRational, delta, linear_combine, unit, zero
 from .embedding import (
     ElementMatrix,
@@ -13,7 +16,6 @@ from .embedding import (
     verify_support_bound,
 )
 from .errors import ExprSyntaxError, LimitExceeded, UniverseMismatch
-from .oper import RepConfig, ShiftRepresentation, boundary_exactness_check, convergence_report, gamma_from_rep, op_norm
 from .states import (
     Character,
     FreeProductState,
@@ -47,3 +49,35 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+# the float sidecar's names, resolved on first use so that importing pqt does not import numpy
+_OPER_NAMES = ("RepConfig", "ShiftRepresentation", "boundary_exactness_check", "convergence_report", "gamma_from_rep", "op_norm")
+
+
+def __getattr__(name: str):
+    if name in _OPER_NAMES:
+        from . import oper
+
+        return getattr(oper, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_OPER_NAMES})
+
+
+class _Package(_types.ModuleType):
+    """Binds the sidecar's names once ``pqt.oper`` loads, by any import, as an eager import would.
+
+    So code that reads or replaces the package's attributes, such as the
+    benchmark tracer, finds them there whenever the sidecar is loaded.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value)
+        if name == "oper":  # the import system binds a loaded submodule on its package
+            for attr in _OPER_NAMES:
+                super().__setattr__(attr, getattr(value, attr))
+
+
+_sys.modules[__name__].__class__ = _Package

@@ -43,7 +43,6 @@ from .states import (
     gram_psd_check,
     trace_f2,
 )
-from .oper import RepConfig, boundary_exactness_check, convergence_report
 
 # ASCII: the grammar's INT and NUM are ASCII digits, and \d would match any Unicode digit
 _SCALAR_RE = re.compile(r"(?P<re>[+-]?\d+(?:/\d+)?)(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)i)?", re.ASCII)
@@ -228,12 +227,16 @@ def _check_dim(dim: int) -> None:
 
 
 def _cmd_rep_report(args):
+    from .oper import RepConfig, convergence_report  # numpy loads only for the two float commands
+
     _check_dim(args.dim)
     report = convergence_report(args.count, RepConfig(dim=args.dim))
     return report.to_dict(), 0
 
 
 def _cmd_boundary_check(args):
+    from .oper import RepConfig, boundary_exactness_check
+
     _check_dim(args.dim)
     report = boundary_exactness_check(args.window, RepConfig(dim=args.dim))
     return report.to_dict(), 0 if report.passed else 1

@@ -13,9 +13,13 @@ finite length filtrations and exactly:
 The first three read only which words an image contains.  Every gamma_n
 is positive, so each coefficient of an image is a sum of positive
 products and none cancels: the support is the set of words the letter
-choices reach, whatever gamma is.  ``Embedding.stage_supports`` builds
-a stage's supports without scalars, one length at a time from the
-previous length's; exact images come only from ``word_image``.
+choices reach, whatever gamma is.  ``Embedding.stage_parts`` sweeps a
+stage without scalars, one length at a time from the previous length's
+supports, and yields the support of P g in two parts: P's support, whose
+words g extends, and those words times the base letter, a part shared by
+every letter of g's star.  ``stage_supports`` yields their union; the
+support lemma reads the parts alone, so it never builds a support of the
+last length.  Exact images come only from ``word_image``.
 
 It also hosts matrices over elements and one length-bounded one-sided
 inverse search for both (the desk-scale finiteness and infiniteness
@@ -123,48 +127,73 @@ class Embedding:
             pairs += ((mul(u, base), c), (u + letter, c * weight))
         return Element._raw(W.BCS, _collect(pairs))
 
-    def stage_supports(self, words: Sequence) -> Iterator[tuple]:
-        """Yield (w, the words of ``word_image(w)``) for each of ``words``, in order.
+    def stage_parts(self, words: Sequence) -> Iterator[tuple]:
+        """Yield (w, prefix, shared) for each of ``words``, in order: w's support in two parts.
 
         No coefficient of an image cancels, as every gamma_n is positive, so
-        a support is ``set(word_image(w).terms)`` without a scalar: its
-        prefix's words, each times the base letter and times the free one,
-        as ``_extend`` chooses.  ``words`` is sorted by length, with every
-        word's prefix before it; only the previous length's supports are
-        kept, and the last length's are never stored.  The caller checks
-        gamma: this never evaluates it.
+        the support of P g is ``set(word_image(P g).terms)`` without a
+        scalar: the words u of P's support, each times g and times the base
+        letter, as ``_extend`` chooses.  ``prefix`` is P's support and
+        ``shared`` is {u * base}, which depends only on P and g's star, so
+        one frozenset serves every letter of that star; the support is
+        ``shared`` together with u g for u in ``prefix``.  The empty word
+        yields (frozenset(), {()}).
+
+        ``words`` is sorted by length, with every word's prefix before it.
+        Only the previous length's supports are kept.  Below the last length
+        each support is built whole, to be the next length's prefix, and is
+        yielded as (w, frozenset(), support); the last length's supports are
+        never built.  The caller checks gamma: this never evaluates it.
         """
         last = len(words[-1]) if words else 0
         block, bc_mul, identity = W.BCElement, W.bc_mul, W.BC_IDENTITY
+        none = frozenset()
         prev: dict = {}
         level: dict = {}
         n = 0
+        at = None  # the prefix word whose support is ``prefix`` and whose shared parts are ``by_star``
         for w in words:
             if len(w) > n:
-                prev, level, n = level, {}, len(w)
+                prev, level, n, at = level, {}, len(w), None
             if not w:
-                support = frozenset([()])
+                prefix, shared = none, frozenset([()])
             else:
-                try:
-                    prefix = prev[w[:-1]]
-                except KeyError:
-                    word = W.render_word(W.SINF, w)
-                    raise ValueError(f"stage_supports needs words sorted by length, each after its prefix: {word}") from None
-                g = w[-1]
-                base = W.Q if g.starred else W.P
-                letter, tail = (g,), (base,)
-                out = [u + letter for u in prefix]
-                # u * base touches only u's last item, a block it merges into or a free letter
-                for u in prefix:
-                    if u and type(u[-1]) is block:
-                        merged = bc_mul(u[-1], base)
-                        out.append(u[:-1] if merged is identity else u[:-1] + (merged,))
-                    else:
-                        out.append(u + tail)
-                support = frozenset(out)
+                p, g = w[:-1], w[-1]
+                if p != at:
+                    try:
+                        prefix = prev[p]
+                    except KeyError:
+                        word = W.render_word(W.SINF, w)
+                        raise ValueError(f"stage_supports needs words sorted by length, each after its prefix: {word}") from None
+                    at, by_star = p, [None, None]
+                shared = by_star[g.starred]
+                if shared is None:
+                    base = W.Q if g.starred else W.P
+                    tail = (base,)
+                    out = []
+                    # u * base touches only u's last item, a block it merges into or a free letter
+                    for u in prefix:
+                        if u and type(u[-1]) is block:
+                            merged = bc_mul(u[-1], base)
+                            out.append(u[:-1] if merged is identity else u[:-1] + (merged,))
+                        else:
+                            out.append(u + tail)
+                    shared = by_star[g.starred] = frozenset(out)
             if n < last:
-                level[w] = support
-            yield w, support
+                level[w] = whole = shared.union([u + w[-1:] for u in prefix])
+                yield w, none, whole
+            else:
+                yield w, prefix, shared
+
+    def stage_supports(self, words: Sequence) -> Iterator[tuple]:
+        """Yield (w, the words of ``word_image(w)``) for each of ``words``, in order.
+
+        The union of the two parts that ``stage_parts`` yields, so every
+        support of the last length is built here, one at a time, and never
+        stored.  ``words`` is as ``stage_parts`` takes it.
+        """
+        for w, prefix, shared in self.stage_parts(words):
+            yield w, shared.union([u + w[-1:] for u in prefix]) if prefix else shared
 
     def apply(self, x: Element) -> Element:
         if x.universe != W.SINF:
@@ -239,18 +268,34 @@ def _stage(m: int, k: int, gamma: GammaSequence | None) -> tuple:
 def verify_support_bound(m: int, k: int, gamma: GammaSequence | None = None) -> CheckReport:
     """Image of every length-m' word stays inside the length-m' filtration stage.
 
-    Reads the gamma-independent supports (``Embedding.stage_supports``).
+    Reads the gamma-independent supports in their two parts
+    (``Embedding.stage_parts``) without building their union.  For the
+    support shared | {u g : u in prefix}, the longest word is the longer of
+    shared's longest and prefix's longest plus one, and the size is
+    |prefix| + |shared| less the overlap, the words of shared that end in g
+    with the rest in prefix.  Both are read once per (prefix, shared) pair,
+    the overlap once per letter.
     """
     start = time.perf_counter()
     emb, words = _stage(m, k, gamma)
     counterexample = None
     checked = terms = 0
-    for w, support in emb.stage_supports(words):
+    free = W.FreeGen
+    read: dict = {}  # star -> (prefix, shared, longest, ends) of the parts last read for that star
+    for w, prefix, shared in emb.stage_parts(words):
         checked += 1
-        terms += len(support)
-        got = max(map(len, support))
-        if got > len(w):
-            counterexample = {"word": W.render_word(W.SINF, w), "word_len": len(w), "support_len": got}
+        star = w[-1].starred if w else None
+        parts = read.get(star)
+        if parts is None or parts[1] is not shared or parts[0] is not prefix:
+            longest = max(max(map(len, shared)), max(map(len, prefix), default=-1) + 1)
+            # an overlap word ends in a free letter, which u * base reaches only when a block cancels
+            ends = [v[-1] for v in shared if v and type(v[-1]) is free and v[:-1] in prefix] if prefix else []
+            parts = read[star] = prefix, shared, longest, ends
+        else:
+            longest, ends = parts[2], parts[3]
+        terms += len(prefix) + len(shared) - (ends.count(w[-1]) if ends else 0)
+        if longest > len(w):
+            counterexample = {"word": W.render_word(W.SINF, w), "word_len": len(w), "support_len": longest}
             break
     elapsed = (time.perf_counter() - start) * 1000.0
     return CheckReport(

@@ -6,8 +6,9 @@ reduction by a fixpoint scan, the embedding by expanding all 2^|w| letter
 choices and its left inverse psi o epsilon by dropping tokens and
 expanding again, element sums and products by summing each distinct word's
 coefficient over plain Fraction pairs, the free-product moment by the
-literal two-level centered expansion, the coordinate lemma by the scan
-over every (target, candidate) pair on the images the embedding builds,
+literal two-level centered expansion, the support lemma on supports
+expanded whole, the coordinate lemma by the scan over every (target,
+candidate) pair on the images the embedding builds,
 the operator norm by a Hermitian eigensolver instead of an SVD, the
 boundary check one column at a time, positive
 semidefiniteness by the signs of all principal minors instead of an
@@ -417,6 +418,39 @@ def distinct_kept_blocks(universe, words, z) -> int:
     return len({b for di, b in zip(d, s) if di != 0})
 
 
+# -- the support lemma on expanded supports -----------------------------------------
+
+
+def support_bound_by_expansion(m, k, gamma=None, extra=None) -> CheckReport:
+    """The support lemma on each word's support built whole by expansion, in order.
+
+    Word w's support is the words of ``phi_by_expansion`` together with
+    ``extra.get(w, ())``; the first word whose support holds a longer word
+    is the counterexample.  ``stats`` counts the words read and the sizes
+    of their supports.
+    """
+    gamma = Embedding(gamma).gamma
+    extra = extra or {}
+    counterexample = None
+    checked = terms = 0
+    for w in W.enumerate_words(m, k, W.SINF):
+        support = set(phi_by_expansion(w, gamma)) | set(extra.get(w, ()))
+        checked += 1
+        terms += len(support)
+        longest = max(map(len, support))
+        if longest > len(w):
+            counterexample = {"word": W.render_word(W.SINF, w), "word_len": len(w), "support_len": longest}
+            break
+    return CheckReport(
+        check="support-lemma",
+        params={"m": m, "k": k, "gamma": gamma.name},
+        result="fail" if counterexample else "pass",
+        counterexample=counterexample,
+        details={"words_checked": checked},
+        stats={"words": checked, "image_terms": terms},
+    )
+
+
 # -- pairwise coordinate scan ------------------------------------------------------
 
 
@@ -575,13 +609,15 @@ def psd_int_full(m_rows: list) -> tuple:
 def patch_word_images(monkeypatch, tampered) -> None:
     """Make ``tampered(self, w)`` the embedding's word images, for every reader.
 
-    The verifiers read supports, not images, so ``stage_supports`` is
-    patched to yield the support of each tampered image: a tamper reaches
-    both paths.
+    The verifiers read supports, not images, so ``stage_parts``, the one
+    generator of supports, is patched to yield each tampered image's
+    support whole, as the shared part beside an empty prefix part.
+    ``stage_supports`` reads it too, so a tamper reaches both paths of all
+    three verifiers.
     """
     monkeypatch.setattr(Embedding, "word_image", tampered)
     monkeypatch.setattr(
-        Embedding, "stage_supports", lambda self, words: ((w, frozenset(self.word_image(w).terms)) for w in words)
+        Embedding, "stage_parts", lambda self, words: ((w, frozenset(), frozenset(self.word_image(w).terms)) for w in words)
     )
 
 

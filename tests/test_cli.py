@@ -404,6 +404,38 @@ def test_cli_subprocess_entry_point():
     assert proc.stderr  # the human-readable detail goes to stderr
 
 
+def test_cli_imports_numpy_only_for_the_float_commands():
+    # a fresh interpreter, as the suite itself imports numpy
+    import subprocess
+    import sys
+
+    script = """
+import contextlib, io, json, sys
+steps = []
+import pqt
+steps.append(("import pqt", "numpy" in sys.modules, "op_norm" in dir(pqt)))
+import pqt.cli
+steps.append(("import pqt.cli", "numpy" in sys.modules, None))
+for argv in (["mul", "--universe", "bcs", "p", "q"], ["lemma-support", "--m", "2", "--k", "1"], ["rep-report", "--count", "2", "--dim", "8"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = pqt.cli.main(argv)
+    steps.append((argv[0], "numpy" in sys.modules, code))
+from pqt import op_norm
+steps.append(("from pqt import op_norm", pqt.op_norm is op_norm is pqt.oper.op_norm, None))
+print(json.dumps(steps))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import pqt", False, True],
+        ["import pqt.cli", False, None],
+        ["mul", False, 0],
+        ["lemma-support", False, 0],
+        ["rep-report", True, 0],
+        ["from pqt import op_norm", True, None],
+    ]
+
+
 def test_cli_config_file_supplies_flag_defaults(capsys, tmp_path):
     cfg = tmp_path / "flags.json"
     cfg.write_text(json.dumps({"m": 2, "k": 2, "gamma": "1"}))

@@ -28,6 +28,7 @@ from oracles import (
     patch_word_images,
     phi_by_expansion,
     random_element,
+    support_bound_by_expansion,
 )
 
 B = W.BCElement
@@ -120,6 +121,68 @@ def test_support_bound_vacuous_base_case():
     report = verify_support_bound(0, 1)
     assert report.passed
     assert report.details["words_checked"] == 1
+
+
+def _same_support_report(got, expected):
+    assert got.stats == expected.stats
+    _same_report(got, expected)
+
+
+@pytest.mark.parametrize(
+    "injected",
+    [
+        # a last-length word's image gains a longer free word
+        {(T(1), T(2), T(1)): [(T(2),) * 4], (T(2), T(2), T(2)): [(T(1),) * 5]},
+        # two words fail, and the report names the first in enumeration order, not the longer one
+        {(T(2), T(1)): [(T(1), B(1, 0), T(2))], (T(1, True),): [(T(2), T(2, True), T(2), T(2))]},
+        # the longer word is made of blocks and free letters
+        {(T(1),): [(B(0, 2), T(1, True))]},
+    ],
+    ids=["last-length", "first-in-order", "with-blocks"],
+)
+def test_support_bound_reports_the_first_violation(monkeypatch, injected):
+    word_image = Embedding.word_image
+
+    def tampered(self, w):
+        image = word_image(self, w)
+        for u in injected.get(w, ()):
+            image = image + delta(W.BCS, u)
+        return image
+
+    patch_word_images(monkeypatch, tampered)
+    got = verify_support_bound(3, 2)
+    assert not got.passed
+    _same_support_report(got, support_bound_by_expansion(3, 2, extra=injected))
+
+
+@pytest.mark.parametrize(
+    "into_prefix, into_shared",
+    [
+        # a word as long as w in the prefix part: its extension by the letter is one longer than w
+        ([(T(2), T(1, True), T(2))], []),
+        ([], [(T(1), T(1), T(1), T(1))]),
+        # u g in the shared part for a u of the prefix part is one word, counted once; u g' for another letter is not
+        ([(T(2), T(2))], [(T(2), T(2), T(1)), (T(2), T(2), T(2))]),
+    ],
+    ids=["prefix-part", "shared-part", "overlap-by-letter"],
+)
+def test_support_bound_reads_both_parts(monkeypatch, into_prefix, into_shared):
+    # the support of w = P g is shared | {u g : u in prefix}; w is of the last length, so it is read in parts
+    target = (T(1), T(2), T(1))
+    stage_parts = Embedding.stage_parts
+
+    def tampered(self, words):
+        for w, prefix, shared in stage_parts(self, words):
+            if w == target:
+                prefix, shared = prefix.union(into_prefix), shared.union(into_shared)
+            yield w, prefix, shared
+
+    monkeypatch.setattr(Embedding, "stage_parts", tampered)
+    extra = {target: into_shared + [u + target[-1:] for u in into_prefix]}
+    _same_support_report(verify_support_bound(3, 2), support_bound_by_expansion(3, 2, extra=extra))
+    # the whole-support readers see the same support, the union of the parts
+    supports = dict(Embedding().stage_supports(W.enumerate_words(3, 2, W.SINF)))
+    assert supports[target] == set(phi_by_expansion(target, GAMMAS[0])).union(extra[target])
 
 
 @pytest.mark.parametrize("gamma", GAMMAS, ids=lambda g: g.name)
@@ -313,7 +376,8 @@ def test_verifier_reports_at_the_largest_stages():
     assert report.details == {"targets": 1296, "candidates": 1555, "pairs_checked": 2015280}
 
 
-@pytest.mark.parametrize("m, k", [(3, 2), (2, 3)])
+# (4, 1) and (4, 2) have words whose support's two parts overlap, as t1 t1* p q and p q t1 t1* both reach t1 t1*
+@pytest.mark.parametrize("m, k", [(3, 2), (2, 3), (4, 1), (4, 2)])
 def test_verifier_work_counts(m, k):
     gamma = GAMMAS[0]
     basis = W.enumerate_words(m, k, W.SINF)
