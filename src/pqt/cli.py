@@ -289,9 +289,10 @@ def _extract_config(argv: list) -> tuple:
     else:
         return argv, config
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    # ValueError covers bad JSON, bad UTF-8 and the digit limit; deep nesting raises RecursionError
+    except (OSError, ValueError, RecursionError) as e:
         raise _UsageError(f"cannot read config {path!r}: {e}")
     if not isinstance(config, dict):
         raise _UsageError("config file must hold a JSON object of flag values")

@@ -64,6 +64,8 @@ class GammaSequence:
     @classmethod
     def constant(cls, value=1) -> "GammaSequence":
         value = exact_fraction(value)
+        if value <= 0:
+            raise ValueError(f"gamma constant {value} must be positive")
         return cls(lambda n: value, str(value))
 
     @classmethod

@@ -38,23 +38,9 @@ from .algebra import Element, GaussianRational, ONE, ZERO, exact_fraction
 _F0 = Fraction(0)
 
 
-@dataclass(frozen=True)
-class DyadicShiftState:
-    """mu1(q^a p^b) = 2^-a when a == b, else 0; positive and unital."""
-
-    def moment_fraction(self, x: W.BCElement) -> Fraction:
-        if x.a != x.b:
-            return _F0
-        return Fraction(1, 2**x.a)
-
-    def moment(self, x: W.BCElement) -> GaussianRational:
-        return GaussianRational(self.moment_fraction(x))
-
-    def describe(self) -> dict:
-        return {"kind": "dyadic-shift"}
-
-
-BC_STATE = DyadicShiftState()  # the one state the bicyclic component carries
+def _mu1(x: W.BCElement) -> Fraction:
+    """The dyadic shift state: mu1(q^a p^b) = 2^-a when a == b, else 0; positive and unital."""
+    return Fraction(1, 2**x.a) if x.a == x.b else _F0
 
 
 @dataclass(frozen=True)
@@ -88,11 +74,11 @@ class StateConfig:
     s_state: Character = Character()
 
     def describe(self) -> dict:
-        return {"bc_state": BC_STATE.describe(), "s_state": self.s_state.describe()}
+        return {"bc_state": {"kind": "dyadic-shift"}, "s_state": self.s_state.describe()}
 
 
 def bc_moment(x: W.BCElement) -> GaussianRational:
-    return BC_STATE.moment(x)
+    return GaussianRational(_mu1(x))
 
 
 class FreeProductState:
@@ -114,7 +100,7 @@ class FreeProductState:
         return total
 
     def word_moment(self, w) -> GaussianRational:
-        return GaussianRational(self.cfg.s_state.moment_fraction(W.free_part(w)) * BC_STATE.moment_fraction(W.block_part(w)))
+        return GaussianRational(self.cfg.s_state.moment_fraction(W.free_part(w)) * _mu1(W.block_part(w)))
 
 
 def free_moment(x: Element, cfg: StateConfig | None = None) -> GaussianRational:
@@ -253,43 +239,40 @@ def _block_gram_decide(words: list, s_state: Character) -> tuple:
         if s_state.moment_fraction(W.free_part(w)) != 0:
             first.setdefault(W.block_part(w), i)
     blocks = list(first)
-    _check_cells(len(blocks))
-    K = [[GaussianRational(BC_STATE.moment_fraction(W.bc_mul(W.bc_star(ci), cj))) for cj in blocks] for ci in blocks]
+    if len(blocks) ** 2 > W.DEFAULT_MAX_CELLS:
+        raise LimitExceeded(f"gram matrix {len(blocks)}x{len(blocks)} exceeds max_cells={W.DEFAULT_MAX_CELLS}")
+    K = [[GaussianRational(_mu1(W.bc_mul(W.bc_star(ci), cj))) for cj in blocks] for ci in blocks]
     psd, minor = psd_decide(K)
     return psd, None if psd else sorted(first[blocks[i]] for i in minor), len(blocks)
-
-
-def _check_cells(n: int) -> None:
-    if n * n > W.DEFAULT_MAX_CELLS:
-        raise LimitExceeded(f"gram matrix {n}x{n} exceeds max_cells={W.DEFAULT_MAX_CELLS}")
 
 
 def gram_psd_check(universe: str, words: list, cfg: StateConfig | None = None) -> GramReport:
     """Exact positivity check of the state on span{delta_w : w in words}.
 
     On bc, sinf and bcs the decision is taken on the distinct collapsed
-    blocks (``_block_gram_decide``), and no n x n matrix is built; on f2
-    the trace's Gram is built and eliminated.  The matrix that is built,
-    blocks x blocks or n x n, is held to ``W.DEFAULT_MAX_CELLS`` cells;
-    over it, LimitExceeded is raised before it is built.
+    blocks (``_block_gram_decide``), and no n x n matrix is built; K on
+    the blocks is held to ``W.DEFAULT_MAX_CELLS`` cells, and over it
+    LimitExceeded is raised before it is built.  On f2 no matrix is
+    built at all: the state is the canonical trace, so G[i][j] =
+    <delta_(w_j), delta_(w_i)> in l^2(F2) is a Gram matrix of vectors and
+    PSD for every list (on distinct reduced words it is the identity).
     """
     if universe not in W.UNIVERSES:
         raise ValueError(f"unknown universe {universe!r}")
     if len(set(words)) != len(words):
         raise ValueError("gram words must be pairwise distinct")
     start = time.perf_counter()
-    state = FreeProductState(cfg)
+    cfg = cfg if cfg is not None else StateConfig()
     stats = {"words": len(words)}
     if universe == W.F2:
-        _check_cells(len(words))
-        psd, minor = psd_decide(gram_matrix(universe, words, state))
+        psd, minor = True, None
     else:
-        psd, minor, stats["blocks"] = _block_gram_decide(words, state.cfg.s_state)
+        psd, minor, stats["blocks"] = _block_gram_decide(words, cfg.s_state)
     elapsed = (time.perf_counter() - start) * 1000.0
     return GramReport(
         universe=universe,
         words=[W.render_word(universe, w) for w in words],
-        state=state.cfg.describe(),
+        state=cfg.describe(),
         psd=psd,
         violating_minor=minor,
         elapsed_ms=elapsed,

@@ -287,6 +287,14 @@ def test_cli_zero_denominators_in_flags_are_named(capsys, tmp_path):
     assert (code, payload) == (2, z_error)
 
 
+def test_cli_refuses_a_non_positive_constant_gamma(capsys):
+    for value in ("-1", "0", "-2/3"):
+        expected = (2, {"result": "error", "message": f"gamma constant {value} must be positive"})
+        assert run_cli(capsys, "phi", "e", "--gamma", f"const:{value}") == expected
+        assert run_cli(capsys, "rank", "--m", "0", "--k", "2", "--gamma", f"const:{value}") == expected
+        assert run_cli(capsys, "lemma-support", "--m", "1", "--k", "1", "--gamma", f"const:{value}") == expected
+
+
 def test_cli_resource_limits_exit_three(capsys):
     code, payload = run_cli(capsys, "lemma-support", "--m", "50", "--k", "3")
     assert code == 3 and payload["result"] == "error"
@@ -446,6 +454,20 @@ def test_cli_config_file_supplies_flag_defaults(capsys, tmp_path):
     assert code == 0 and payload["params"]["m"] == 1
     code, payload = run_cli(capsys, "rank", "--config", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_cli_config_files_that_cannot_be_read_exit_two(capsys, tmp_path):
+    import sys
+
+    cfg = tmp_path / "flags.json"
+    contents = [b'{"m": "\xff"}', b"[" * 100_000]
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():  # an interpreter without a digit limit reads any int
+        contents.append(b'{"m": ' + b"7" * 5000 + b"}")
+    for content in contents:
+        cfg.write_bytes(content)
+        code, payload = run_cli(capsys, "lemma-support", "--config", str(cfg), "--k", "1")
+        assert code == 2 and payload["result"] == "error", content[:20]
+        assert payload["message"].startswith(f"cannot read config {str(cfg)!r}: "), content[:20]
 
 
 def test_cli_config_values_are_type_checked(capsys, tmp_path):

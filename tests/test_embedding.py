@@ -60,6 +60,14 @@ def test_gamma_constant_refuses_a_float():
     assert tenth.apply(delta(W.SINF, (T(1),))).render() == "1*p + 1/10*t1"
 
 
+def test_gamma_constant_refuses_a_non_positive_value_when_built():
+    for value in (0, -1, Fraction(-1, 3)):
+        with pytest.raises(ValueError, match=f"gamma constant {value} must be positive"):
+            GammaSequence.constant(value)
+    with pytest.raises(ValueError, match="gamma constant -1 must be positive"):
+        gamma_by_name("const:-1")
+
+
 def test_gamma_call_refuses_a_float_weight():
     with pytest.raises(TypeError, match="not float"):
         GammaSequence(lambda n: 0.3, "x")(2)

@@ -11,7 +11,6 @@ from pqt.algebra import Element, GaussianRational, ONE, ZERO, delta, linear_comb
 from pqt.states import (
     _psd_int,
     Character,
-    DyadicShiftState,
     FreeProductState,
     StateConfig,
     Vacuum,
@@ -295,7 +294,7 @@ def test_gram_psd_check_matches_full_elimination(name, cfg):
         assert blocks == 28
 
 
-def _signed_dyadic(self, x):
+def _signed_dyadic(x):
     # [a == b] (-1)^a: Hermitian, but not positive (K on {e, p} is diag(1, -1))
     return Fraction((-1) ** x.a) if x.a == x.b else Fraction(0)
 
@@ -308,7 +307,7 @@ def _signed_dyadic(self, x):
 )
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
 def test_gram_violating_minor_maps_back_to_words(monkeypatch, universe, words, cfg, reverse):
-    monkeypatch.setattr(DyadicShiftState, "moment_fraction", _signed_dyadic)
+    monkeypatch.setattr("pqt.states._mu1", _signed_dyadic)
     words = words[::-1] if reverse else words
     report = gram_psd_check(universe, words, cfg)
     G = gram_matrix(universe, words, FreeProductState(cfg))
@@ -460,6 +459,23 @@ def test_gram_on_free_group_words_is_diagonal():
         for j in range(3):
             assert G[i][j] == (ONE if i == j else ZERO)
     assert gram_psd_check(W.F2, words).psd
+
+
+def test_gram_on_free_group_words_is_decided_without_a_matrix(monkeypatch):
+    import pqt.states as S
+
+    def refuse(*args):
+        raise AssertionError("an f2 Gram builds or eliminates no matrix")
+
+    monkeypatch.setattr(S, "gram_matrix", refuse)
+    monkeypatch.setattr(S, "psd_decide", refuse)
+    monkeypatch.setattr(W, "DEFAULT_MAX_CELLS", 4)
+    words = [(), (("x", 1),), (("x", 1), ("y", -1))]
+    report = gram_psd_check(W.F2, words)
+    assert report.psd and report.violating_minor is None
+    assert report.stats == {"words": 3}
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        gram_psd_check(W.F2, words + [(("x", 1),)])
 
 
 def test_trace_is_tracial():
