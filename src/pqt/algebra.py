@@ -205,16 +205,32 @@ def _over_digit_limit(digits: int) -> LimitExceeded:
     )
 
 
+# Fraction's decimal form: whole part, fractional part and exponent, each digits that underscores may join
+_DECIMAL = re.compile(r"\s*[-+]?(?=\.?\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?\s*")
+
+
 def _parse_fraction(text: str) -> Fraction:
-    """``Fraction(text)``, refusing a run of digits too long for int() with LimitExceeded.
+    """``Fraction(text)``, refusing a value too long for int() <-> str with LimitExceeded.
 
     Fraction converts each run of digits, which underscores may join, with
     int().  int() refuses a run over the limit with the ValueError that a
-    malformed value also raises, so the runs are counted first.
+    malformed value also raises, so the runs are counted first.  A decimal
+    value is int(whole + part) times 10 ** (exponent - len(part)), and
+    Fraction builds that power whole before it reduces: so the digits of
+    the ints it will build are counted too, before any is built.
     """
+    limit = _digit_limit()
     digits = max((len(run) - run.count("_") for run in re.findall(r"\d(?:_?\d)*", text)), default=0)
-    if 0 < _digit_limit() < digits:
+    if 0 < limit < digits:
         raise _over_digit_limit(digits)
+    m = _DECIMAL.fullmatch(text)
+    if m and limit:
+        whole, part, exponent = (s.replace("_", "") for s in m.groups(""))
+        mantissa = max(len((whole + part).lstrip("0")), 1)
+        shift = int(exponent or 0) - len(part)
+        digits = mantissa + shift if shift >= 0 else max(mantissa, 1 - shift)
+        if digits > limit:
+            raise _over_digit_limit(digits)
     return Fraction(text)
 
 

@@ -163,6 +163,9 @@ def _cmd_normalize(args):
 def _cmd_mul(args):
     a = parse_element(args.left, args.universe)
     b = parse_element(args.right, args.universe)
+    pairs = len(a.terms) * len(b.terms)
+    if pairs > W.DEFAULT_ENUMERATION_LIMIT:
+        raise LimitExceeded(f"product has {pairs} term pairs (limit {W.DEFAULT_ENUMERATION_LIMIT})")
     return {"command": "mul", "result": (a * b).render()}, 0
 
 

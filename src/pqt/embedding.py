@@ -109,25 +109,9 @@ class Embedding:
     def word_image(self, w) -> Element:
         cached = self._word_images.get(w)
         if cached is None:
-            cached = self._extend(self.word_image(w[:-1]), w[-1])
+            cached = self.word_image(w[:-1]) * self.generator_image(w[-1])
             self._word_images[w] = cached
         return cached
-
-    def _extend(self, prefix: Element, g: W.FreeGen) -> Element:
-        """prefix * generator_image(g), with the same terms in the same order.
-
-        Each prefix term (u, c) yields (u * base, c) and (u g, c * gamma_g):
-        the base letter carries weight one, so it costs no multiply, and a
-        free letter never merges at the seam.
-        """
-        weight = GaussianRational(self.gamma(g.index))
-        base = (W.Q if g.starred else W.P,)
-        letter = (g,)
-        mul = W.pw_mul
-        pairs: list = []
-        for u, c in prefix.terms.items():
-            pairs += ((mul(u, base), c), (u + letter, c * weight))
-        return Element._raw(W.BCS, _collect(pairs))
 
     def stage_parts(self, words: Sequence) -> Iterator[tuple]:
         """Yield (w, prefix, shared) for each of ``words``, in order: w's support in two parts.
@@ -135,11 +119,11 @@ class Embedding:
         No coefficient of an image cancels, as every gamma_n is positive, so
         the support of P g is ``set(word_image(P g).terms)`` without a
         scalar: the words u of P's support, each times g and times the base
-        letter, as ``_extend`` chooses.  ``prefix`` is P's support and
-        ``shared`` is {u * base}, which depends only on P and g's star, so
-        one frozenset serves every letter of that star; the support is
-        ``shared`` together with u g for u in ``prefix``.  The empty word
-        yields (frozenset(), {()}).
+        letter, one word per term of ``generator_image(g)``.  ``prefix`` is
+        P's support and ``shared`` is {u * base}, which depends only on P and
+        g's star, so one frozenset serves every letter of that star; the
+        support is ``shared`` together with u g for u in ``prefix``.  The
+        empty word yields (frozenset(), {()}).
 
         ``words`` is sorted by length, with every word's prefix before it.
         Only the previous length's supports are kept.  Below the last length

@@ -314,6 +314,9 @@ def test_cli_resource_limits_exit_three(capsys):
     for letters in (18, 1200):
         code, payload = run_cli(capsys, "phi", " ".join(["t1"] * letters))
         assert code == 3 and payload["result"] == "error"  # up to 2^letters image terms
+    terms = " + ".join(f"t{i}" for i in range(1, 501))
+    assert run_cli(capsys, "mul", "--universe", "sinf", terms, terms) == (
+        3, {"result": "error", "message": "product has 250000 term pairs (limit 200000)"})
 
 
 def test_cli_word_budget_covers_every_list(capsys):
@@ -421,26 +424,25 @@ def test_cli_imports_numpy_only_for_the_float_commands():
 import contextlib, io, json, sys
 steps = []
 import pqt
-steps.append(("import pqt", "numpy" in sys.modules, "op_norm" in dir(pqt)))
+steps.append(("import pqt", "numpy" in sys.modules, None))
 import pqt.cli
 steps.append(("import pqt.cli", "numpy" in sys.modules, None))
 for argv in (["mul", "--universe", "bcs", "p", "q"], ["lemma-support", "--m", "2", "--k", "1"], ["rep-report", "--count", "2", "--dim", "8"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = pqt.cli.main(argv)
     steps.append((argv[0], "numpy" in sys.modules, code))
-from pqt import op_norm
-steps.append(("from pqt import op_norm", pqt.op_norm is op_norm is pqt.oper.op_norm, None))
+steps.append(("sidecar names", hasattr(pqt, "op_norm"), callable(pqt.oper.op_norm)))
 print(json.dumps(steps))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        ["import pqt", False, True],
+        ["import pqt", False, None],
         ["import pqt.cli", False, None],
         ["mul", False, 0],
         ["lemma-support", False, 0],
         ["rep-report", True, 0],
-        ["from pqt import op_norm", True, None],
+        ["sidecar names", False, True],
     ]
 
 
@@ -740,6 +742,12 @@ def test_cli_numbers_over_the_digit_limit_exit_three(capsys):
     assert run_cli(capsys, "moment", "--z", f"{half}_{half}", "t1") == (3, over(2 * len(half)))
     assert run_cli(capsys, "phi", "t1", "--gamma", f"const:{big}") == (3, over(limit + 700))
     assert run_cli(capsys, "rank", "--m", "1", "--k", "1", "--gamma", f"const:0.{big}") == (3, over(limit + 700))
+    # an exponent or a fractional part scales by a power of ten that Fraction builds whole, so its digits count
+    assert run_cli(capsys, "moment", "--z", f"1e-{limit + 700}", "t1") == (3, over(limit + 701))
+    assert run_cli(capsys, "moment", "--z", "1e-10000000", "t1") == (3, over(10000001))
+    assert run_cli(capsys, "phi", "t1", "--gamma", "const:1e10000000") == (3, over(10000001))
+    assert run_cli(capsys, "lemma-support", "--m", "1", "--k", "1", "--gamma", "const:1e10000000") == (3, over(10000001))
+    assert run_cli(capsys, "moment", "--z", f"{half}.{half}", "t1") == (3, over(2 * len(half)))
     # a malformed value is still a usage error
     assert run_cli(capsys, "moment", "--z", "1/2/3", "t1") == (2, {"result": "error", "message": "Invalid literal for Fraction: '1/2/3'"})
     assert run_cli(capsys, "phi", "t1", "--gamma", "const:1/2/3") == (2, {"result": "error", "message": "Invalid literal for Fraction: '1/2/3'"})
@@ -751,3 +759,5 @@ def test_cli_numbers_over_the_digit_limit_exit_three(capsys):
     assert code == 0 and payload["result"] == f"1/{most}"
     code, payload = run_cli(capsys, "phi", "t1", "--gamma", f"const:{most}")
     assert code == 0 and payload["result"] == f"1*p + {most}*t1"
+    code, payload = run_cli(capsys, "moment", "--z", f"1e-{limit - 1}", "t1")
+    assert code == 0 and payload["result"] == f"1/1{'0' * (limit - 1)}"
