@@ -116,6 +116,11 @@ class GaussianRational:
     def __mul__(self, other):
         if type(other) is not GaussianRational:
             other = _coerce(other)
+        # scalars are never mutated, so a product with ONE may share the other factor
+        if other is ONE:
+            return self
+        if self is ONE:
+            return other
         a, b, c, e = self.x, self.y, other.x, other.y
         d = self.d * other.d
         if b or e:

@@ -146,12 +146,16 @@ def parse_element(text: str, universe: str) -> Element:
 
 
 def _state_config(args) -> StateConfig:
+    # --z defaults to None, so a --z given beside --vacuum, on argv or in a config file, is seen
     if args.vacuum:
+        if args.z is not None:
+            raise ValueError("--vacuum and --z cannot be used together")
         return StateConfig(s_state=Vacuum())
+    text = "1/2" if args.z is None else args.z
     try:
-        z = _parse_fraction(args.z)
+        z = _parse_fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in --z value {args.z!r}")
+        raise ValueError(f"zero denominator in --z value {text!r}")
     return StateConfig(s_state=Character(z))
 
 
@@ -344,7 +348,7 @@ def _add_universe(sub, default=None, choices=W.UNIVERSES):
 
 
 def _add_state_flags(sub):
-    sub.add_argument("--z", default="1/2", help="character value for the free-monoid state (rational)")
+    sub.add_argument("--z", help="character value for the free-monoid state (rational, default 1/2)")
     sub.add_argument("--vacuum", action="store_true", help="use the vacuum instead of a character")
 
 

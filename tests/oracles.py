@@ -467,11 +467,7 @@ def coordinate_separation_pairwise(m, k, gamma=None) -> CheckReport:
             pairs += 1
             coeff = image.coordinate(w)
             if (not coeff.is_zero()) != (y == w):
-                counterexample = {
-                    "target": W.render_word(W.SINF, w),
-                    "candidate": W.render_word(W.SINF, y),
-                    "coefficient": str(coeff),
-                }
+                counterexample = {"target": W.render_word(W.SINF, w), "candidate": W.render_word(W.SINF, y)}
                 break
         if counterexample:
             break
@@ -612,8 +608,8 @@ def patch_word_images(monkeypatch, tampered) -> None:
     The verifiers read supports, not images, so ``stage_parts``, the one
     generator of supports, is patched to yield each tampered image's
     support whole, as the shared part beside an empty prefix part.
-    ``stage_supports`` reads it too, so a tamper reaches both paths of all
-    three verifiers.
+    ``stage_supports`` reads it too, so a tamper reaches all three
+    verifiers.
     """
     monkeypatch.setattr(Embedding, "word_image", tampered)
     monkeypatch.setattr(

@@ -130,7 +130,7 @@ def test_cli_inverse_search_refuses_a_negative_k_extra(capsys):
     assert code == 2 and payload == {"result": "error", "message": "k_extra must be >= 0"}
 
 
-def test_cli_moment_and_gram(capsys):
+def test_cli_moment_and_gram(capsys, tmp_path):
     code, payload = run_cli(capsys, "moment", "q t1 p")
     assert code == 0 and payload["result"] == "1/4"
     code, payload = run_cli(capsys, "moment", "--vacuum", "t1")
@@ -148,6 +148,19 @@ def test_cli_moment_and_gram(capsys):
     code, payload = run_cli(capsys, "gram", "--universe", "bc", "--m", "2")
     assert code == 0 and payload["psd"] is True
     assert payload["words"] == ["e", "p", "p p", "q", "q p", "q q"]
+    # the vacuum has no character value, so --z beside it is refused, from argv or from a config file
+    refused = (2, {"result": "error", "message": "--vacuum and --z cannot be used together"})
+    assert run_cli(capsys, "moment", "--universe", "bcs", "--vacuum", "--z", "3", "t1") == refused
+    assert run_cli(capsys, "moment", "--vacuum", "--z", "1/2", "t1") == refused
+    assert run_cli(capsys, "gram", "--m", "1", "--k", "1", "--z", "2", "--vacuum") == refused
+    for config, argv in (
+        ({"vacuum": True, "z": "3"}, ["moment", "t1"]),
+        ({"z": "3"}, ["gram", "--m", "1", "--k", "1", "--vacuum"]),
+        ({"vacuum": True}, ["moment", "--z", "3", "t1"]),
+    ):
+        cfg = tmp_path / "state.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(capsys, "--config", str(cfg), *argv) == refused, (config, argv)
 
 
 # (argv, exit code, JSON payload without elapsed_ms) for the state and
@@ -357,13 +370,14 @@ def test_cli_rank_cell_budget_guards_only_elimination(capsys, monkeypatch):
     target = (T(1), T(1, True))
 
     def tampered(self, w):
-        # a block-free word as long as w enters its image, so elimination runs
+        # a block-free word as long as w enters its image, so w fails the witness
         image = word_image(self, w)
         return image + delta(W.BCS, (T(1, True), T(1))) if w == target else image
 
     patch_word_images(monkeypatch, tampered)
     code, payload = run_cli(capsys, "rank", "--m", "2", "--k", "1")
-    assert code == 3 and payload["message"] == "coordinate matrix 7x20 exceeds max_cells=100"
+    assert code == 1 and payload["result"] == "fail" and payload["counterexample"] == {"word": "t1 t1*"}
+    assert payload["rank"] == 6 and payload["dimension"] == 7 and payload["matrix_dims"] == [7, 20]
 
 
 def test_cli_unexpected_exception_is_json_with_exit_four(capsys, monkeypatch):

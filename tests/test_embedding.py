@@ -20,7 +20,7 @@ from pqt.embedding import (
     verify_coordinate_separation,
     verify_support_bound,
 )
-from pqt.errors import LimitExceeded, UniverseMismatch
+from pqt.errors import UniverseMismatch
 from oracles import (
     coordinate_separation_pairwise,
     dense_rank,
@@ -299,8 +299,7 @@ def test_injectivity_rank_values():
 
 
 def test_injectivity_rank_respects_cell_cap(monkeypatch):
-    # the budget guards the coordinate matrix, which only the elimination fallback builds
-    budget = W.DEFAULT_MAX_CELLS
+    # the witness builds no coordinate matrix, so the cell budget refuses no stage, whatever its verdict
     monkeypatch.setattr(W, "DEFAULT_MAX_CELLS", 100)
     assert injectivity_rank(3, 2).passed
     word_image = Embedding.word_image
@@ -311,17 +310,16 @@ def test_injectivity_rank_respects_cell_cap(monkeypatch):
         return image + delta(W.BCS, (T(2), T(1))) if w == target else image
 
     patch_word_images(monkeypatch, tampered)
-    with pytest.raises(LimitExceeded, match="exceeds max_cells=100"):
-        injectivity_rank(3, 2)
-    monkeypatch.setattr(W, "DEFAULT_MAX_CELLS", budget)
-    assert injectivity_rank(3, 2).stats["pivots"] == 85
+    report = injectivity_rank(3, 2)
+    assert not report.passed and report.counterexample == {"word": "t1 t2"}
+    # images extend their prefix's, so t1 t2 and its four extensions each hold a free word as long
+    assert report.details["rank"] == 80 and report.details["matrix_dims"][0] == 85
 
 
 def test_injectivity_rank_larger_stage():
     report = injectivity_rank(4, 3)
     assert report.passed
     assert report.details["rank"] == report.details["dimension"] == 1555
-    assert report.stats["pivots"] == 0
 
 
 @pytest.mark.parametrize("m, k", [(3, 2), (2, 3)])
@@ -334,6 +332,17 @@ def test_word_image_matches_expansion_oracle(gamma, m, k):
         if w:  # the same terms, in the same order, as the Element product
             product = emb.word_image(w[:-1]) * emb.generator_image(w[-1])
             assert list(image.terms.items()) == list(product.terms.items())
+
+
+def test_word_images_share_the_coefficients_a_product_with_one_keeps():
+    for z in (GaussianRational(Fraction(2, 3)), GaussianRational(1, -1), GaussianRational(0)):
+        assert z * ONE is z and ONE * z is z
+    assert (ONE * 3, 3 * ONE) == (GaussianRational(3), GaussianRational(3))
+    # a base letter's term is a prefix term times ONE, so it shares that term's coefficient:
+    # the stage's 585 terms hold 293 coefficient objects (585 at a product that copies)
+    emb = Embedding()
+    coefficients = [c for w in W.enumerate_words(3, 2, W.SINF) for c in emb.word_image(w).terms.values()]
+    assert (len(coefficients), len({id(c) for c in coefficients})) == (585, 293)
 
 
 @pytest.mark.parametrize("m, k", [(0, 3), (3, 0), (1, 4), (3, 2), (2, 3), (4, 1)])
@@ -378,7 +387,7 @@ def test_verifier_reports_at_the_largest_stages():
     assert report.passed and report.details["words_checked"] == 9331 and report.stats["image_terms"] == 269878
     report = injectivity_rank(6, 2)
     assert report.passed and report.details["rank"] == report.details["dimension"] == 5461
-    assert report.details["matrix_dims"] == [5461, 48756] and report.stats["pivots"] == 0
+    assert report.details["matrix_dims"] == [5461, 48756]
     report = verify_coordinate_separation(4, 3)
     assert report.passed
     assert report.details == {"targets": 1296, "candidates": 1555, "pairs_checked": 2015280}
@@ -396,23 +405,22 @@ def test_verifier_work_counts(m, k):
         assert report.passed
         assert report.stats["words"] == words == len(basis)
         assert report.stats["image_terms"] == terms
-    assert report.stats["pivots"] == 0
 
 
 @pytest.mark.parametrize(
-    "target, tamper, expected_rank",
+    "target, tamper, first, witnessed, oracle_rank",
     [
         # w loses its own coordinate
-        ((T(1), T(2)), lambda emb, w, image: image - delta(W.BCS, w).scale(image.coordinate(w)), 21),
+        ((T(1), T(2)), lambda emb, w, image: image - delta(W.BCS, w).scale(image.coordinate(w)), "t1 t2", 20, 21),
         # a block-free word as long as w enters its image
-        ((T(1), T(2)), lambda emb, w, image: image + delta(W.BCS, (T(2), T(1))).scale(3), 21),
+        ((T(1), T(2)), lambda emb, w, image: image + delta(W.BCS, (T(2), T(1))).scale(3), "t1 t2", 20, 21),
         # t1 gets the image of t2; images extend their prefix's, so the
-        # five words t1, t1 x repeat the rows of t2, t2 x
-        ((T(1),), lambda emb, w, image: emb.word_image((T(2),)), 16),
+        # five words t1, t1 x repeat the rows of t2, t2 x and lose their own word
+        ((T(1),), lambda emb, w, image: emb.word_image((T(2),)), "t1", 16, 16),
     ],
     ids=["lost-self", "equal-length-free-word", "repeated-image"],
 )
-def test_injectivity_rank_falls_back_to_elimination(monkeypatch, target, tamper, expected_rank):
+def test_injectivity_rank_reports_the_first_unwitnessed_word(monkeypatch, target, tamper, first, witnessed, oracle_rank):
     word_image = Embedding.word_image
 
     def tampered(self, w):
@@ -422,12 +430,20 @@ def test_injectivity_rank_falls_back_to_elimination(monkeypatch, target, tamper,
     patch_word_images(monkeypatch, tampered)
     report = injectivity_rank(2, 2)
     emb = Embedding()
-    images = [emb.word_image(w) for w in W.enumerate_words(2, 2, W.SINF)]
+    basis = W.enumerate_words(2, 2, W.SINF)
+    images = [emb.word_image(w) for w in basis]
     cols = sorted({u for image in images for u in image.terms}, key=lambda u: W.word_sort_key(W.BCS, u))
     rank = dense_rank([[image.coordinate(u) for u in cols] for image in images])
-    assert report.details["rank"] == report.stats["pivots"] == rank == expected_rank
+    # the witnessed words, recounted from the images: each holds its own word and no other free word as long
+    recount = [
+        w
+        for w, image in zip(basis, images)
+        if w in image.terms and all(u == w or len(u) < len(w) or any(type(x) is W.BCElement for x in u) for u in image.terms)
+    ]
+    assert not report.passed and report.counterexample == {"word": first}
+    assert W.render_word(W.SINF, next(w for w in basis if w not in recount)) == first
+    assert report.details["rank"] == len(recount) == witnessed <= rank == oracle_rank
     assert report.details["matrix_dims"] == [21, len(cols)]
-    assert report.passed == (rank == 21)
 
 
 def test_generator_recovery():
