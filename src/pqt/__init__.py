@@ -10,7 +10,6 @@ from .embedding import (
     GammaSequence,
     injectivity_rank,
     inverse_search,
-    mat_inverse_search,
     mat_mul,
     verify_coordinate_separation,
     verify_support_bound,

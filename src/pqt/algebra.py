@@ -210,33 +210,25 @@ def _over_digit_limit(digits: int) -> LimitExceeded:
     )
 
 
-# Fraction's decimal form: whole part, fractional part and exponent, each digits that underscores may join
-_DECIMAL = re.compile(r"\s*[-+]?(?=\.?\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?\s*")
+# the expression grammar's real scalar, [+-]INT['/'INT]; [0-9] is ASCII, where \d would match any Unicode digit
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_fraction(text: str) -> Fraction:
-    """``Fraction(text)``, refusing a value too long for int() <-> str with LimitExceeded.
+    """The rational that ``text`` writes as ``[+-]INT['/'INT]``, the one form the CLI reads.
 
-    Fraction converts each run of digits, which underscores may join, with
-    int().  int() refuses a run over the limit with the ValueError that a
-    malformed value also raises, so the runs are counted first.  A decimal
-    value is int(whole + part) times 10 ** (exponent - len(part)), and
-    Fraction builds that power whole before it reduces: so the digits of
-    the ints it will build are counted too, before any is built.
+    Any other text raises ValueError.  The digits are counted before int()
+    reads them, so a value too long for int() <-> str raises LimitExceeded,
+    and a zero denominator raises ZeroDivisionError.
     """
-    limit = _digit_limit()
-    digits = max((len(run) - run.count("_") for run in re.findall(r"\d(?:_?\d)*", text)), default=0)
-    if 0 < limit < digits:
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"invalid rational {text!r}: write [+-]INT['/'INT]")
+    sign, num, den = m.groups("1")
+    digits = max(len(num), len(den))
+    if 0 < _digit_limit() < digits:
         raise _over_digit_limit(digits)
-    m = _DECIMAL.fullmatch(text)
-    if m and limit:
-        whole, part, exponent = (s.replace("_", "") for s in m.groups(""))
-        mantissa = max(len((whole + part).lstrip("0")), 1)
-        shift = int(exponent or 0) - len(part)
-        digits = mantissa + shift if shift >= 0 else max(mantissa, 1 - shift)
-        if digits > limit:
-            raise _over_digit_limit(digits)
-    return Fraction(text)
+    return Fraction(int(sign + num), int(den))
 
 
 def _coerce(x) -> GaussianRational:

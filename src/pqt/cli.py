@@ -22,11 +22,10 @@ import json
 import re
 import sys
 import traceback
-from fractions import Fraction
 
 from .errors import ExprSyntaxError, LimitExceeded, UniverseMismatch
 from . import words as W
-from .algebra import Element, GaussianRational, ONE, _collect, _over_digit_limit, _parse_fraction
+from .algebra import Element, GaussianRational, ONE, _collect, _parse_fraction
 from .embedding import (
     Embedding,
     gamma_by_name,
@@ -45,7 +44,7 @@ from .states import (
 )
 
 # ASCII: the grammar's INT and NUM are ASCII digits, and \d would match any Unicode digit
-_SCALAR_RE = re.compile(r"(?P<re>[+-]?\d+(?:/\d+)?)(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)i)?", re.ASCII)
+_SCALAR_RE = re.compile(r"(?P<re>[+-]?\d+(?:/\d+)?)(?:(?P<im>[+-]\d+(?:/\d+)?)i)?", re.ASCII)
 _TGEN_RE = re.compile(r"t(\d+)(\*)?\Z", re.ASCII)
 
 _WORD_GENS = {
@@ -65,10 +64,7 @@ def _parse_gen(tok: str, universe: str, pos: int):
     if universe in (W.SINF, W.BCS):
         m = _TGEN_RE.fullmatch(tok)
         if m:
-            try:
-                index = int(m.group(1))
-            except ValueError:  # only the interpreter's digit limit refuses a run of digits
-                raise _over_digit_limit(len(m.group(1))) from None
+            index = _parse_fraction(m.group(1)).numerator
             if index < 1:
                 raise ExprSyntaxError(f"generator index must be >= 1 in {tok!r}", pos)
             return W.FreeGen(index, m.group(2) is not None)
@@ -121,11 +117,9 @@ def parse_element(text: str, universe: str) -> Element:
             if not rest.startswith("*") or len(rest) < 2:
                 raise ExprSyntaxError(f"scalar must be glued to a generator with '*', as in '1/2*t1' (got {tok!r})", pos)
             try:
-                scalar = GaussianRational(Fraction(m["re"]), Fraction((m["sign"] or "") + (m["im"] or "0")))
+                scalar = GaussianRational(_parse_fraction(m["re"]), 0 if m["im"] is None else _parse_fraction(m["im"]))
             except ZeroDivisionError:
                 raise ExprSyntaxError(f"zero denominator in scalar {tok[: m.end()]!r}", pos)
-            except ValueError:  # only the interpreter's digit limit refuses a scalar the pattern matched
-                raise _over_digit_limit(max(map(len, re.findall("[0-9]+", tok[: m.end()])))) from None
             tok = rest[1:]
         # a term is its first token and, unless that is 'e', the tokens up to the next operator
         end = i + 1

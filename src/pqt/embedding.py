@@ -555,16 +555,19 @@ class InverseSearchResult:
         return out
 
 
-def _search(a: Element | ElementMatrix, side: str, m: int, k_extra: int) -> InverseSearchResult:
-    """Solve for a one-sided inverse X of the square matrix A, an element being the 1 x 1 case.
+def inverse_search(a: Element | ElementMatrix, side: str, m: int, *, k_extra: int = 0) -> InverseSearchResult:
+    """Decide exactly whether a length-bounded one-sided inverse X of ``a`` exists.
 
-    Block ``index`` is column ``index`` of X in A X = I for side "right",
-    row ``index`` of X in X A = I for side "left".  Its n entries combine
+    ``a`` is an element, the 1 x 1 case, or a square ``ElementMatrix``, and
+    X has its type.  A right inverse solves A X = I column by column, a left
+    inverse X A = I row by row: block ``index`` is column ``index`` of X
+    for side "right", row ``index`` for side "left".  Its n entries combine
     the candidate words of length <= m whose generator indices are bounded
     by those in A plus ``k_extra``.  The rows, the coordinates (r, u) of
     the n products, are built once; only the right-hand side, 1 on identity
-    row ``index``, depends on the block.  The search stops at the first
-    infeasible block, and reports the last block's ranks as its certificate.
+    row ``index``, depends on the block.  Infeasibility is certified
+    relative to those bounds by rank(augmented) > rank(system): the search
+    stops at the first infeasible block, and reports the last block's ranks.
     """
     entries = ((a,),) if isinstance(a, Element) else a.entries
     n = len(entries)
@@ -620,23 +623,3 @@ def _search(a: Element | ElementMatrix, side: str, m: int, k_extra: int) -> Inve
         x = ElementMatrix(blocks if side == "left" else list(zip(*blocks)))
     elapsed = (time.perf_counter() - start) * 1000.0
     return InverseSearchResult(x is not None, x, side, uni, m, k_extra, ncand, rank, rank_aug, elapsed, stats)
-
-
-def inverse_search(a: Element, side: str, m: int, *, k_extra: int = 0) -> InverseSearchResult:
-    """Decide exactly whether a length-bounded one-sided inverse exists.
-
-    Solves the coordinate linear system of a*x = 1 (or x*a = 1) over all
-    candidate words of length <= m whose generator indices are bounded by
-    those in ``a`` plus ``k_extra``.  Infeasibility is certified relative
-    to those bounds by rank(augmented) > rank(system).
-    """
-    return _search(a, side, m, k_extra)
-
-
-def mat_inverse_search(a: ElementMatrix, side: str, m: int) -> InverseSearchResult:
-    """``inverse_search`` for a square matrix, with an ``ElementMatrix`` as the solution.
-
-    A right inverse solves A X = I column by column; a left inverse X A = I
-    row by row.  An infeasible search certifies its first infeasible block.
-    """
-    return _search(a, side, m, 0)

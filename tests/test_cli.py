@@ -750,21 +750,15 @@ def test_cli_numbers_over_the_digit_limit_exit_three(capsys):
     # each operand parses, and the product has twice its digits when it is rendered
     half = "9" * (limit // 2 + 400)
     assert run_cli(capsys, "mul", "--universe", "bc", f"{half}*p", f"{half}*q") == (3, over(2 * len(half)))
-    # the rational flags count each run of digits, which underscores may join, before parsing
+    # the rational flags count the digits of numerator and denominator before int() reads them
     assert run_cli(capsys, "moment", "--z", big, "t1") == (3, over(limit + 700))
     assert run_cli(capsys, "gram", "--universe", "sinf", "--m", "1", "--k", "1", "--z", f"1/{big}") == (3, over(limit + 700))
-    assert run_cli(capsys, "moment", "--z", f"{half}_{half}", "t1") == (3, over(2 * len(half)))
     assert run_cli(capsys, "phi", "t1", "--gamma", f"const:{big}") == (3, over(limit + 700))
-    assert run_cli(capsys, "rank", "--m", "1", "--k", "1", "--gamma", f"const:0.{big}") == (3, over(limit + 700))
-    # an exponent or a fractional part scales by a power of ten that Fraction builds whole, so its digits count
-    assert run_cli(capsys, "moment", "--z", f"1e-{limit + 700}", "t1") == (3, over(limit + 701))
-    assert run_cli(capsys, "moment", "--z", "1e-10000000", "t1") == (3, over(10000001))
-    assert run_cli(capsys, "phi", "t1", "--gamma", "const:1e10000000") == (3, over(10000001))
-    assert run_cli(capsys, "lemma-support", "--m", "1", "--k", "1", "--gamma", "const:1e10000000") == (3, over(10000001))
-    assert run_cli(capsys, "moment", "--z", f"{half}.{half}", "t1") == (3, over(2 * len(half)))
+    assert run_cli(capsys, "rank", "--m", "1", "--k", "1", "--gamma", f"const:-1/{big}") == (3, over(limit + 700))
     # a malformed value is still a usage error
-    assert run_cli(capsys, "moment", "--z", "1/2/3", "t1") == (2, {"result": "error", "message": "Invalid literal for Fraction: '1/2/3'"})
-    assert run_cli(capsys, "phi", "t1", "--gamma", "const:1/2/3") == (2, {"result": "error", "message": "Invalid literal for Fraction: '1/2/3'"})
+    malformed = {"result": "error", "message": "invalid rational '1/2/3': write [+-]INT['/'INT]"}
+    assert run_cli(capsys, "moment", "--z", "1/2/3", "t1") == (2, malformed)
+    assert run_cli(capsys, "phi", "t1", "--gamma", "const:1/2/3") == (2, malformed)
     # just under the limit, a scalar parses and renders, negative and imaginary parts included
     most = "9" * limit
     code, payload = run_cli(capsys, "normalize", "--universe", "bc", f"-{most}/7+{most}i*p")
@@ -773,5 +767,26 @@ def test_cli_numbers_over_the_digit_limit_exit_three(capsys):
     assert code == 0 and payload["result"] == f"1/{most}"
     code, payload = run_cli(capsys, "phi", "t1", "--gamma", f"const:{most}")
     assert code == 0 and payload["result"] == f"1*p + {most}*t1"
-    code, payload = run_cli(capsys, "moment", "--z", f"1e-{limit - 1}", "t1")
-    assert code == 0 and payload["result"] == f"1/1{'0' * (limit - 1)}"
+
+
+def test_cli_rational_flags_refuse_all_but_the_expression_scalar(capsys, tmp_path):
+    # --z and --gamma const: read [+-]INT['/'INT] in ASCII digits, as an expression's scalar does;
+    # Fraction's decimal, exponent and underscore forms, whitespace and other digits exit 2, whatever their length
+    import sys
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    half, big = "9" * (limit // 2 + 400), "9" * (limit + 700)
+    forms = ["0.5", "1e-3", "1_0", " 1/2", "\u0661/\u0662", f"{half}_{half}", f"{half}.{half}", f"0.{big}",
+             f"1e-{limit + 700}", f"1e-{limit - 1}", "1e-10000000", "1e10000000"]
+    cfg = tmp_path / "flags.json"
+    for form in forms:
+        expected = (2, {"result": "error", "message": f"invalid rational {form!r}: write [+-]INT['/'INT]"})
+        for argv, key, value in (
+            (["moment", "t1"], "z", form),
+            (["gram", "--universe", "sinf", "--m", "1", "--k", "1"], "z", form),
+            (["phi", "t1"], "gamma", f"const:{form}"),
+            (["rank", "--m", "1", "--k", "1"], "gamma", f"const:{form}"),
+        ):
+            assert run_cli(capsys, *argv, f"--{key}", value) == expected, (argv, form[:20])
+            cfg.write_text(json.dumps({key: value}))
+            assert run_cli(capsys, *argv, "--config", str(cfg)) == expected, (argv, form[:20])

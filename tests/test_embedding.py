@@ -15,7 +15,6 @@ from pqt.embedding import (
     gamma_by_name,
     injectivity_rank,
     inverse_search,
-    mat_inverse_search,
     mat_mul,
     verify_coordinate_separation,
     verify_support_bound,
@@ -532,7 +531,7 @@ def test_mat_mul_identity_and_shapes():
 def test_mat_inverse_search_diagonal_infeasible():
     dq = delta(W.BC, W.Q)
     a = ElementMatrix([[dq, zero(W.BC)], [zero(W.BC), dq]])
-    result = mat_inverse_search(a, "right", 4)
+    result = inverse_search(a, "right", 4)
     assert not result.found
     # block 0 fails; adding its right-hand side raises the oracle's coefficient rank by one
     _, rank = inverse_system_counts([list(row) for row in a.entries], "right", W.enumerate_words(4, 0, W.BC))
@@ -542,14 +541,14 @@ def test_mat_inverse_search_diagonal_infeasible():
 
 def test_mat_inverse_search_elementary_matrix():
     a = ElementMatrix([[unit(W.SINF), delta(W.SINF, (T(1),))], [zero(W.SINF), unit(W.SINF)]])
-    result = mat_inverse_search(a, "right", 2)
+    result = inverse_search(a, "right", 2)
     assert result.found
     x = result.solution
     assert x[0, 1] == -delta(W.SINF, (T(1),))
     eye = ElementMatrix.identity(2, W.SINF)
     assert mat_mul(a, x) == eye
     assert mat_mul(x, a) == eye  # two-sided, as it must be for this unit
-    left = mat_inverse_search(a, "left", 2)
+    left = inverse_search(a, "left", 2)
     assert left.found and mat_mul(left.solution, a) == eye
 
 
@@ -590,7 +589,7 @@ def test_inverse_search_stats_match_recount(a, side, m, k_extra):
 def test_mat_inverse_search_stats_match_recount():
     # both blocks of the 2 x 2 system are solved, each with the same coefficient matrix
     a = ElementMatrix([[unit(W.SINF), delta(W.SINF, (T(1),))], [zero(W.SINF), unit(W.SINF)]])
-    result = mat_inverse_search(a, "right", 2)
+    result = inverse_search(a, "right", 2)
     cands = W.enumerate_words(2, 1, W.SINF)
     rows, rank = inverse_system_counts([list(row) for row in a.entries], "right", cands)
     assert result.found and result.stats == {"candidates": len(cands), "rows": 2 * rows, "pivots": 2 * rank}
@@ -603,7 +602,7 @@ def test_mat_inverse_search_stats_match_recount():
 )
 def test_mat_inverse_search_of_one_entry_is_inverse_search(a, side, m):
     one = inverse_search(a, side, m)
-    mat = mat_inverse_search(ElementMatrix([[a]]), side, m)
+    mat = inverse_search(ElementMatrix([[a]]), side, m)
     assert mat.found == one.found and mat.candidates == one.candidates and mat.stats == one.stats
     assert (mat.solution[0, 0] if mat.found else None) == one.solution
     assert (mat.rank, mat.rank_augmented) == (one.rank, one.rank_augmented)
@@ -617,7 +616,7 @@ def test_mat_inverse_search_of_one_entry_is_inverse_search(a, side, m):
 def test_mat_inverse_search_fails_on_a_later_block():
     # diag(e, q) over bc: column 0 of a right inverse is (e, 0), column 1 needs q x = e
     a = ElementMatrix([[unit(W.BC), zero(W.BC)], [zero(W.BC), delta(W.BC, W.Q)]])
-    result = mat_inverse_search(a, "right", 3)
+    result = inverse_search(a, "right", 3)
     assert inverse_system_counts([list(row) for row in a.entries], "right", W.enumerate_words(3, 0, W.BC)) == (21, 20)
     assert not result.found and result.solution is None
     assert result.stats == {"candidates": 10, "rows": 2 * 21, "pivots": 2 * 20}
@@ -630,10 +629,10 @@ def test_mat_inverse_search_left_inverse_that_is_not_a_right_inverse(m):
     dq, e, o = delta(W.BCS, (W.Q,)), unit(W.BCS), zero(W.BCS)
     a = ElementMatrix([[dq, o], [o, e]])
     eye = ElementMatrix.identity(2, W.BCS)
-    left = mat_inverse_search(a, "left", m)
+    left = inverse_search(a, "left", m)
     assert left.found and left.solution == ElementMatrix([[delta(W.BCS, (W.P,)), o], [o, e]])
     assert mat_mul(left.solution, a) == eye and mat_mul(a, left.solution) != eye
-    right = mat_inverse_search(a, "right", m)
+    right = inverse_search(a, "right", m)
     assert not right.found and right.solution is None
     assert right.rank_augmented > right.rank
     assert right.to_dict()["params"] == {"side": "right", "universe": W.BCS, "m": m, "k_extra": 0}
@@ -643,15 +642,15 @@ def test_inverse_searches_share_their_argument_checks_in_order():
     o, e = zero(W.SINF), unit(W.SINF)
     zero_message = "^cannot search for an inverse of the zero element$"
     with pytest.raises(ValueError, match="square"):
-        mat_inverse_search(ElementMatrix([[o, o]]), "sideways", 1)
+        inverse_search(ElementMatrix([[o, o]]), "sideways", 1)
     with pytest.raises(ValueError, match=zero_message):
         inverse_search(o, "sideways", 1, k_extra=-1)
     with pytest.raises(ValueError, match=zero_message):  # the zero element of the matrix ring
-        mat_inverse_search(ElementMatrix([[o, o], [o, o]]), "sideways", 1)
+        inverse_search(ElementMatrix([[o, o], [o, o]]), "sideways", 1)
     with pytest.raises(ValueError, match="k_extra"):
         inverse_search(e, "sideways", 1, k_extra=-1)
     with pytest.raises(ValueError, match="side"):
-        mat_inverse_search(ElementMatrix([[o, e], [o, o]]), "sideways", 1)
+        inverse_search(ElementMatrix([[o, e], [o, o]]), "sideways", 1)
 
 
 def test_sparse_kernels_against_dense_oracle():

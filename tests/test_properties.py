@@ -2,8 +2,9 @@
 arithmetic, element arithmetic against its expansion, the collapsed-block
 factorisation of state Grams, operator norms of shift-representation
 matrices against an eigensolver oracle, and the ring and star axioms,
-parse/render round trips and normal forms over all four universes, and
-the embedding's exact left inverse against psi o epsilon by rewriting."""
+parse/render round trips and normal forms over all four universes, one
+rational grammar for flags and expressions, and the embedding's exact
+left inverse against psi o epsilon by rewriting."""
 
 import contextlib
 import functools
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pqt import words as W
-from pqt.algebra import Element, GaussianRational, delta, linear_combine, unit
-from pqt.cli import main, parse_element, parse_word
-from pqt.embedding import Embedding, GammaSequence
+from pqt.algebra import Element, GaussianRational, _parse_fraction, delta, linear_combine, unit
+from pqt.cli import _SCALAR_RE, main, parse_element, parse_word
+from pqt.embedding import Embedding, GammaSequence, gamma_by_name
 from pqt.errors import ExprSyntaxError
 from pqt.oper import RepConfig, ShiftRepresentation, op_norm
 from pqt.states import Character, FreeProductState, StateConfig, Vacuum, gram_matrix, gram_psd_check
@@ -232,6 +233,43 @@ def test_parser_fails_only_with_syntax_errors(text, universe):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(["normalize", "--universe", universe, text])
     assert code != 4, out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text())
+@example(text="0.5")  # Fraction's decimal, exponent, underscore, whitespace and Unicode-digit forms
+@example(text="1e-3")
+@example(text="1_0")
+@example(text=" 1/2")
+@example(text="١/٢")
+@example(text="+1/2")
+@example(text="-0")
+@example(text="2/-3")
+def test_rational_flags_read_the_expression_scalar(text):
+    # --z and --gamma const: read exactly the real scalars that an expression reads
+    m = _SCALAR_RE.fullmatch(text)
+    if m is None or m["im"] is not None:
+        with pytest.raises(ValueError, match="^invalid rational"):
+            _parse_fraction(text)
+        return
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            _parse_fraction(text)
+    else:
+        assert _parse_fraction(text) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=st.fractions())
+def test_echoed_rationals_read_back(f):
+    # the z that describe() echoes, and a const: gamma's name, are flag values that read back
+    z = StateConfig(s_state=Character(f)).describe()["s_state"]["z"]
+    assert _parse_fraction(z) == f
+    if f > 0:
+        name = GammaSequence.constant(f).name
+        assert gamma_by_name(f"const:{name}")(1) == f
 
 
 @settings(max_examples=150, deadline=None)
